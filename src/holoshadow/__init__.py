@@ -17,7 +17,6 @@ from .tree import (
     FusionLabel,
     TreeSpec,
     beta,
-    contiguous_series,
     crossover_kstar,
     crossover_numeric,
     ef_bruteforce,

@@ -28,7 +28,7 @@ import time
 from pathlib import Path
 
 from . import analysis, cuts, ising, tiling, tree
-from .core import ModelParams, SupportMask
+from .core import ModelParams, PlrResult, SupportMask
 
 CSV_SWEEP_COLUMNS = ("start", "k", "bdryC", "bulkC", "minC")
 
@@ -86,7 +86,7 @@ def _emit_json(payload: dict, args: argparse.Namespace) -> None:
     doc["config"] = _config_dict(args)
     if not args.no_timestamp:
         doc["generated"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n"
     _write(text, args.out)
 
 
@@ -124,6 +124,18 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _rate_payload(result: PlrResult) -> dict:
+    """JSON fields of a learning rate.  w and its reciprocal are null unless
+    w is a positive normal double, which also keeps 1/w <= 2^1022 finite."""
+    if float(result.w) < sys.float_info.min:
+        return {"w": None, "shadow_norm_sq": None, "log_d_norm": result.log_d_norm}
+    return {
+        "w": float(result.w),
+        "shadow_norm_sq": float(result.shadow_norm_sq),
+        "log_d_norm": result.log_d_norm,
+    }
+
+
 def _load_graph(path: str) -> tiling.TilingGraph:
     return tiling.TilingGraph.load(path)
 
@@ -146,11 +158,7 @@ def _cmd_tree_plr(args: argparse.Namespace) -> int:
         }
     else:
         result = tree.plr_tree(support, spec, exact=args.exact)
-        payload = {
-            "w": float(result.w),
-            "shadow_norm_sq": float(result.shadow_norm_sq),
-            "log_d_norm": result.log_d_norm,
-        }
+        payload = _rate_payload(result)
         if args.exact:
             payload["w_exact"] = str(result.w)
     _emit_json(payload, args)
@@ -212,12 +220,7 @@ def _cmd_ising_plr(args: argparse.Namespace) -> int:
         payload = {"w": None, "shadow_norm_sq": None, "log_d_norm": int(result.log_d_norm)}
     else:
         model = ising.SpinModel(g, ModelParams(args.d), boundary_field_mode=args.mode)
-        result = ising.plr_exact(model, support)
-        payload = {
-            "w": result.w,
-            "shadow_norm_sq": result.shadow_norm_sq,
-            "log_d_norm": result.log_d_norm,
-        }
+        payload = _rate_payload(ising.plr_exact(model, support))
     _emit_json(payload, args)
     return 0
 
@@ -296,9 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--digits", type=int, default=None, help="significant digits for floats"
         )
-        sub.add_argument(
-            "--seed", type=int, default=None, help="reserved; every computation is deterministic"
-        )
 
     tree_cmd = top.add_parser("tree", help="binary-tree circuit")
     tree_sub = tree_cmd.add_subparsers(dest="subcommand", required=True)
@@ -307,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_parse_d, required=True, help="local dimension, or 'inf'")
     p.add_argument("--n", type=int, required=True, help="number of leaves (power of 2)")
     p.add_argument("--support", required=True, help="START:LEN[,START:LEN...]")
-    p.add_argument("--exact", action="store_true", help="rational arithmetic (N <= 16)")
+    p.add_argument("--exact", action="store_true", help="rational arithmetic (capped by the fold's cost)")
     common(p)
     p.set_defaults(func=_cmd_tree_plr)
 

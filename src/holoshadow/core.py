@@ -175,8 +175,12 @@ class PlrResult:
     def from_w(cls, w: Real, d: int) -> "PlrResult":
         if w <= 0:
             raise ValueError(f"Pauli learning rate must be positive, got {w}")
-        norm = Fraction(1) / w if isinstance(w, Fraction) else 1.0 / w
-        return cls(w=w, shadow_norm_sq=norm, log_d_norm=-math.log(float(w)) / math.log(d))
+        # a Fraction's ln comes from its integer parts, exact where float(w) underflows
+        if isinstance(w, Fraction):
+            log_w = math.log(w.numerator) - math.log(w.denominator)
+        else:
+            log_w = math.log(w)
+        return cls(w=w, shadow_norm_sq=1 / w, log_d_norm=-log_w / math.log(d))
 
     @classmethod
     def from_log_w(cls, log_w: float, d: int) -> "PlrResult":

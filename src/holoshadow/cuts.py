@@ -215,18 +215,6 @@ class _FlowNet:
         return results
 
 
-_NET_CACHE: dict[tuple[int, str], _FlowNet] = {}
-
-
-def _net_for(g: TilingGraph, mode: str) -> _FlowNet:
-    key = (id(g), mode)
-    net = _NET_CACHE.get(key)
-    if net is None or net.graph is not g:
-        net = _FlowNet(g, mode)
-        _NET_CACHE[key] = net
-    return net
-
-
 def min_cut_exact(g: TilingGraph, pinned_vertices: Iterable[int], mode: str = "per-vertex") -> CutResult:
     """Minimum of boundary-flip cost plus domain-wall length over all spin
     configurations with the given tiles pinned down.
@@ -236,7 +224,7 @@ def min_cut_exact(g: TilingGraph, pinned_vertices: Iterable[int], mode: str = "p
     """
     if g.n_vertices == 0:
         raise ValueError("empty graph")
-    return _net_for(g, mode).min_cut(frozenset(pinned_vertices), with_witness=True)
+    return _FlowNet(g, mode).min_cut(frozenset(pinned_vertices), with_witness=True)
 
 
 def bulk_geodesic(g: TilingGraph, dual: DualGraph, interval: SupportMask) -> int:
@@ -395,7 +383,7 @@ def cut_sweep(
                 for start, k, bdry, bulk, minc in chunk:
                     flow_results[(start, k)] = (bdry, bulk, minc)
     else:
-        net = _net_for(g, mode)
+        net = _FlowNet(g, mode)
         for start, steps in tasks:
             for (k, _), cut in zip(steps, net.incremental_cuts([p for _, p in steps])):
                 flow_results[(start, k)] = (cut.bdry_cost, cut.bulk_cost, cut.min_cost)

@@ -15,12 +15,20 @@ is particle-like with vector (-1, d^2)/(d^4-1); an untouched pair is
 hole-like with (1, 0).  The PLR of the whole tree is the component sum of
 the folded root vector.
 
+Every tree quantity is computed by one fold over *runs* of equal leaf
+values: per level, a run of c equal values fuses with itself into c//2
+copies, and an odd run's last value pairs with the next run's first, so
+a level costs O(#runs) rather than O(N).  ``plr_tree`` folds exact
+rationals or floats carrying one shared binary exponent (renormalised
+after each fuse, so w never underflows); ``tree_large_d_cuts`` folds
+large-d labels through the same routine.
+
 The module also provides:
 
 * ``ef_bruteforce``   -- the independent oracle: exact entanglement
   features by exhaustive enumeration of per-gate replica assignments
   (weight a per mismatched pair of children, 1 when all agree, 0 else);
-* ``contiguous_series``/``q_series``/``beta`` -- the aligned contiguous
+* ``g_sequence``/``q_series``/``beta`` -- the aligned contiguous
   support: ratio sequence g_t (g_0 = -1/d), the convergent series
   Q(d) = sum_i ln(1+2a g_i)/2^(i+1), and the resulting norm base
   beta = (d^2-1)/(d e^Q), which satisfies d < beta <= d + 1/d;
@@ -38,7 +46,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .core import PlrResult, Real, SupportMask, WVector, mismatch_weight
 from .cuts import CutResult
@@ -46,6 +54,12 @@ from .lambertw import lambert_w
 
 #: eta-model enumeration cap: 2^(N-1) gate assignments.
 MAX_BRUTEFORCE_LEAVES = 16
+
+#: Rational-fold cap on particle pairs x log2(d^4-1), the least bit length
+#: the root's denominator grows to (each fuse of a mixed subtree adds up
+#: to log2(d^2+1) more).  Full supports at the cap fold in about 1 ms;
+#: sparse ones up to N = 2^20 took under 0.5 s on a 2-vCPU host.
+MAX_EXACT_BITS = 5000
 
 _LOG_MAX = math.log(1.7e308)
 
@@ -107,28 +121,95 @@ def fuse(left: WVector, right: WVector, d: int, exact: bool = False) -> WVector:
     )
 
 
-def _fold(vectors: list[WVector], d: int, exact: bool) -> WVector:
-    while len(vectors) > 1:
-        vectors = [fuse(vectors[i], vectors[i + 1], d, exact) for i in range(0, len(vectors), 2)]
-    return vectors[0]
+V = TypeVar("V")
+
+
+def _fold_runs(
+    pair_runs: list[tuple[bool, int]], hole: V, particle: V, fuse_pair: Callable[[V, V], V]
+) -> V:
+    """Root value of the tree over the given runs of coarse leaf pairs (a
+    power-of-two total), with `hole`/`particle` as leaf values and
+    `fuse_pair` as the gate rule."""
+    runs = [(particle if flag else hole, count) for flag, count in pair_runs]
+    while len(runs) > 1 or runs[0][1] > 1:
+        fused: list[tuple[V, int]] = []
+        carry = None  # an odd run's last value, waiting for its right sibling
+        for value, count in runs:
+            if carry is not None:
+                fused.append((fuse_pair(carry, value), 1))
+                carry = None
+                count -= 1
+            if count > 1:
+                fused.append((fuse_pair(value, value), count // 2))
+            if count % 2:
+                carry = value
+        runs = fused
+    return runs[0][0]
+
+
+def _pair_runs(support: SupportMask) -> list[tuple[bool, int]]:
+    """Runs (particle-like, count) of the N/2 coarse leaf pairs (2i, 2i+1);
+    a pair is particle-like when either of its qudits is in the support."""
+    runs: list[tuple[bool, int]] = []
+    end = 0  # first pair not yet in a run
+    for pair in sorted({site // 2 for site in support.sites}):
+        if pair > end:
+            runs.append((False, pair - end))
+        if pair == end and runs and runs[-1][0]:
+            runs[-1] = (True, runs[-1][1] + 1)
+        else:
+            runs.append((True, 1))
+        end = pair + 1
+    if end < support.n // 2:
+        runs.append((False, support.n // 2 - end))
+    return runs
+
+
+def _log_w(runs: list[tuple[bool, int]], d: int) -> float:
+    """ln w of the tree over the given pair runs, folded in floats whose two
+    components share one binary exponent, renormalised after every fuse."""
+
+    def scaled(vec: WVector, exponent: int) -> tuple[WVector, int]:
+        _, shift = math.frexp(max(abs(vec.w_id), abs(vec.w_swap)))
+        return WVector(math.ldexp(vec.w_id, -shift), math.ldexp(vec.w_swap, -shift)), exponent + shift
+
+    def fuse_scaled(left: tuple[WVector, int], right: tuple[WVector, int]) -> tuple[WVector, int]:
+        return scaled(fuse(left[0], right[0], d), left[1] + right[1])
+
+    hole, particle = (scaled(leaf_vector(flag, d), 0) for flag in (False, True))
+    vec, exponent = _fold_runs(runs, hole, particle, fuse_scaled)
+    if vec.total <= 0:
+        raise ValueError("tree fold produced a nonpositive learning rate")
+    return math.log(vec.total) + exponent * math.log(2.0)
 
 
 def plr_tree(support: SupportMask, spec: TreeSpec, exact: bool = False) -> PlrResult:
     """PLR of a Pauli with the given support under the tree circuit.
 
     Leaves are coarse-grained in fixed pairs (2i, 2i+1); a pair counts as
-    particle-like when at least one of its qudits is in the support.
-    With ``exact=True`` the fold runs in rational arithmetic (N <= 16).
+    particle-like when at least one of its qudits is in the support.  The
+    float fold keeps w in log scale, so ``log_d_norm`` stays accurate where
+    w itself underflows.  With ``exact=True`` the fold runs in rational
+    arithmetic, for particle pairs x log2(d^4-1) <= MAX_EXACT_BITS.
     """
     if support.n != spec.n:
         raise ValueError(f"support is over {support.n} sites but the tree has {spec.n} leaves")
-    if exact and spec.n > MAX_BRUTEFORCE_LEAVES:
-        raise ValueError(f"rational mode is limited to N <= {MAX_BRUTEFORCE_LEAVES}")
-    vectors = [
-        leaf_vector(2 * i in support or 2 * i + 1 in support, spec.d, exact)
-        for i in range(spec.n // 2)
-    ]
-    return PlrResult.from_w(_fold(vectors, spec.d, exact).total, spec.d)
+    runs = _pair_runs(support)
+    if not exact:
+        return PlrResult.from_log_w(_log_w(runs, spec.d), spec.d)
+    bits = sum(count for flag, count in runs if flag) * math.log2(spec.d**4 - 1)
+    if bits > MAX_EXACT_BITS:
+        raise ValueError(
+            f"rational mode is limited to particle pairs x log2(d^4-1) <= {MAX_EXACT_BITS}, "
+            f"this support needs {bits:.0f}"
+        )
+    root = _fold_runs(
+        runs,
+        leaf_vector(False, spec.d, exact=True),
+        leaf_vector(True, spec.d, exact=True),
+        lambda left, right: fuse(left, right, spec.d, exact=True),
+    )
+    return PlrResult.from_w(root.total, spec.d)
 
 
 # ---------------------------------------------------------------------------
@@ -212,23 +293,6 @@ def g_sequence(d: int, m: int, exact: bool = False) -> list[Real]:
     return out
 
 
-def contiguous_series(d: int, m: int, exact: bool = False) -> tuple[list[Real], WVector]:
-    """g_0..g_{m-1} and the depth-m vector of an aligned contiguous support.
-
-    The support holds k = 2^m qudits and exactly fills a depth-m subtree;
-    all coarse leaves are particle-like, so each fusion squares the vector:
-    w_id' = w_id^2 + 2a w_id w_swap, w_swap' = w_swap^2 + 2a w_id w_swap.
-    m = 1 returns the particle leaf vector itself.
-    """
-    gs = g_sequence(d, m, exact)
-    a2 = 2 * mismatch_weight(d, exact=exact)
-    vec = leaf_vector(True, d, exact)
-    for _ in range(m - 1):
-        cross = a2 * vec.w_id * vec.w_swap
-        vec = WVector(vec.w_id * vec.w_id + cross, vec.w_swap * vec.w_swap + cross)
-    return gs, vec
-
-
 def q_series(d: int, tol: float = 1e-12) -> float:
     """The convergent series Q(d) = sum_i ln(1 + 2a g_i) / 2^(i+1).
 
@@ -287,19 +351,16 @@ def tree_large_d_cuts(support: SupportMask, spec: TreeSpec) -> CutResult:
     """
     if support.n != spec.n:
         raise ValueError(f"support is over {support.n} sites but the tree has {spec.n} leaves")
-    labels = [
-        FusionLabel.PARTICLE if (2 * i in support or 2 * i + 1 in support) else FusionLabel.HOLE
-        for i in range(spec.n // 2)
-    ]
-    bdry = 2 * sum(1 for lab in labels if lab is FusionLabel.PARTICLE)
-    bulk = 0
-    while len(labels) > 1:
-        fused = []
-        for i in range(0, len(labels), 2):
-            lab, inc = fuse_labels(labels[i], labels[i + 1])
-            bulk += inc
-            fused.append(lab)
-        labels = fused
+    runs = _pair_runs(support)
+
+    def fuse_counted(
+        left: tuple[FusionLabel, int], right: tuple[FusionLabel, int]
+    ) -> tuple[FusionLabel, int]:
+        label, inc = fuse_labels(left[0], right[0])
+        return label, left[1] + right[1] + inc
+
+    _, bulk = _fold_runs(runs, (FusionLabel.HOLE, 0), (FusionLabel.PARTICLE, 0), fuse_counted)
+    bdry = 2 * sum(count for flag, count in runs if flag)
     return CutResult(bdry_cost=bdry, bulk_cost=bulk, min_cost=bdry + bulk, mode="tree-fusion")
 
 
@@ -324,85 +385,6 @@ def shallow_reference(k: int, d: int) -> float:
     return k * float(d) ** k
 
 
-# signed log-space arithmetic for folds beyond float range: (sign, ln|x|)
-
-_SLOG_ZERO = (0, -math.inf)
-
-
-def _slog_mul(x: tuple[int, float], y: tuple[int, float]) -> tuple[int, float]:
-    if x[0] == 0 or y[0] == 0:
-        return _SLOG_ZERO
-    return (x[0] * y[0], x[1] + y[1])
-
-
-def _slog_add(x: tuple[int, float], y: tuple[int, float]) -> tuple[int, float]:
-    if x[0] == 0:
-        return y
-    if y[0] == 0:
-        return x
-    if x[1] < y[1]:
-        x, y = y, x
-    if x[0] == y[0]:
-        return (x[0], x[1] + math.log1p(math.exp(y[1] - x[1])))
-    diff = y[1] - x[1]
-    if diff >= 0.0:  # equal magnitudes, opposite signs
-        return _SLOG_ZERO
-    return (x[0], x[1] + math.log1p(-math.exp(diff)))
-
-
-def _fuse_slog(
-    left: tuple[tuple[int, float], tuple[int, float]],
-    right: tuple[tuple[int, float], tuple[int, float]],
-    log_a: float,
-) -> tuple[tuple[int, float], tuple[int, float]]:
-    l_id, l_sw = left
-    r_id, r_sw = right
-    cross = _slog_add(_slog_mul(l_id, r_sw), _slog_mul(l_sw, r_id))
-    a_cross = (cross[0], cross[1] + log_a)
-    return (
-        _slog_add(_slog_mul(l_id, r_id), a_cross),
-        _slog_add(a_cross, _slog_mul(l_sw, r_sw)),
-    )
-
-
-def _slog_leaf(intersects: bool, d: int) -> tuple[tuple[int, float], tuple[int, float]]:
-    if not intersects:
-        return ((1, 0.0), _SLOG_ZERO)
-    log_denom = math.log(float(d) ** 4 - 1.0)
-    return ((-1, -log_denom), (1, 2.0 * math.log(d) - log_denom))
-
-
-def plr_tree_log(support: SupportMask, spec: TreeSpec) -> PlrResult:
-    """plr_tree carried in (sign, log-magnitude) form; safe for huge N."""
-    if support.n != spec.n:
-        raise ValueError(f"support is over {support.n} sites but the tree has {spec.n} leaves")
-    log_a = math.log(mismatch_weight(spec.d))
-    vecs = [
-        _slog_leaf(2 * i in support or 2 * i + 1 in support, spec.d)
-        for i in range(spec.n // 2)
-    ]
-    while len(vecs) > 1:
-        vecs = [_fuse_slog(vecs[i], vecs[i + 1], log_a) for i in range(0, len(vecs), 2)]
-    sign, log_w = _slog_add(*vecs[0])
-    if sign <= 0:
-        raise ValueError("tree fold produced a nonpositive learning rate")
-    return PlrResult.from_log_w(log_w, spec.d)
-
-
-def contiguous_log_plr(d: int, m: int) -> float:
-    """ln w for a fully supported N = 2^m tree, folded in log space."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    log_a = math.log(mismatch_weight(d))
-    vec = _slog_leaf(True, d)
-    for _ in range(m - 1):
-        vec = _fuse_slog(vec, vec, log_a)
-    sign, log_w = _slog_add(*vec)
-    if sign <= 0:
-        raise ValueError("contiguous fold produced a nonpositive learning rate")
-    return log_w
-
-
 def crossover_kstar(d: int) -> tuple[float, float]:
     """Closed-form tree/shallow crossover supports from the Lambert W function.
 
@@ -423,7 +405,7 @@ def crossover_numeric(d: int, k_max: int) -> int | None:
         raise ValueError(f"k_max must be a power of two >= 2, got {k_max}")
     for m in range(1, k_max.bit_length()):
         k = 1 << m
-        if -contiguous_log_plr(d, m) > log_shallow_reference(k, d):
+        if -_log_w([(True, k // 2)], d) > log_shallow_reference(k, d):
             return k
     return None
 
@@ -434,7 +416,7 @@ def crossover_table(d: int, k_max: int) -> list[dict]:
     Exact tree values exist only at k = 2^m; intermediate k are filled by
     exponential (log-linear) interpolation and flagged as such.
     """
-    exact = {1 << m: -contiguous_log_plr(d, m) for m in range(1, k_max.bit_length())}
+    exact = {1 << m: -_log_w([(True, 1 << (m - 1))], d) for m in range(1, k_max.bit_length())}
     rows = []
     for k in range(2, k_max + 1):
         if k in exact:

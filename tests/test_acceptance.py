@@ -24,7 +24,7 @@ from holoshadow.cuts import (
 )
 from holoshadow.lambertw import lambert_w
 from holoshadow.tiling import boundary_size, dual_graph, two_tile_graph
-from holoshadow.tree import TreeSpec, contiguous_log_plr
+from holoshadow.tree import TreeSpec
 
 from conftest import bfs_route_points
 
@@ -293,7 +293,7 @@ def test_criterion_13_lambert_w_and_crossover():
         for branch in (0, -1):
             w = lambert_w(x, branch)
             worst = max(worst, abs(w * math.exp(w) - x))
-    norm_k4 = math.exp(-contiguous_log_plr(2, 2))
+    norm_k4 = hs.plr_tree(SupportMask.interval(4, 0, 4), TreeSpec(4, 2)).shadow_norm_sq
     shallow_k4 = hs.shallow_reference(4, 2)
     crossover = hs.crossover_numeric(2, 512)
     ok = (

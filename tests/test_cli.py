@@ -28,6 +28,37 @@ class TestTreeCommands:
         )
         assert doc["w_exact"] == "53/1125"
 
+    def test_plr_exact_beyond_sixteen_leaves(self, tmp_path):
+        args = ["tree", "plr", "--d", "5", "--n", "1024", "--support", "0:1024"]
+        exact = run_json(args + ["--exact"], tmp_path, "exact.json")
+        folded = run_json(args, tmp_path, "float.json")
+        assert exact["log_d_norm"] == pytest.approx(folded["log_d_norm"], rel=1e-12)
+        assert "/" in exact["w_exact"]
+
+    def test_plr_exact_over_cap(self, tmp_path, capsys):
+        args = ["tree", "plr", "--d", "5", "--n", "4096", "--support", "0:4096", "--exact"]
+        assert run(args + ["--out", str(tmp_path / "x.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: rational mode")
+
+    @pytest.mark.parametrize("length,log_d_norm", [(8192, 8813.30869106342), (993, 1071.5057126770748)])
+    def test_plr_underflowing_rate_is_strict_json(self, tmp_path, length, log_d_norm):
+        # w below the normal doubles prints as null, never as Infinity/NaN
+        jsonschema = pytest.importorskip("jsonschema")
+        from holoshadow import schemas
+
+        out = tmp_path / "probe.json"
+        args = ["tree", "plr", "--d", "2", "--n", "16384", "--support", f"0:{length}"]
+        assert run(args + ["--out", str(out), "--no-timestamp"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        jsonschema.validate(doc, schemas.load("result"))
+        assert doc["w"] is None and doc["shadow_norm_sq"] is None
+        assert doc["log_d_norm"] == pytest.approx(log_d_norm, rel=1e-9)
+
     def test_plr_multi_interval(self, tmp_path):
         doc = run_json(["tree", "plr", "--d", "2", "--n", "8", "--support", "0:2,6:2"], tmp_path)
         direct = hs.plr_tree(

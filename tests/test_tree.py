@@ -4,18 +4,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import holoshadow as hs
 from holoshadow.core import SupportMask, WVector, plr_from_ef
 from holoshadow.tree import (
     TreeSpec,
-    contiguous_log_plr,
     crossover_table,
     g_sequence,
     log_shallow_reference,
-    plr_tree_log,
     table_rows,
 )
 
@@ -33,6 +31,27 @@ QBETA = {
 
 def mask(n, *sites):
     return SupportMask(n, frozenset(sites))
+
+
+def contiguous_log_plr(d, m):
+    """ln w of the fully supported N = 2^m tree."""
+    n = 1 << m
+    return -hs.plr_tree(SupportMask.interval(n, 0, n), TreeSpec(n, d)).log_d_norm * math.log(d)
+
+
+def exact_ln(w):
+    return math.log(w.numerator) - math.log(w.denominator)
+
+
+def level_fold_w(support, spec):
+    """Exact w by fusing every sibling pair, level by level, with no runs."""
+    vecs = [
+        hs.leaf_vector(2 * i in support or 2 * i + 1 in support, spec.d, exact=True)
+        for i in range(spec.n // 2)
+    ]
+    while len(vecs) > 1:
+        vecs = [hs.fuse(vecs[i], vecs[i + 1], spec.d, exact=True) for i in range(0, len(vecs), 2)]
+    return vecs[0].total
 
 
 class TestLeafVectors:
@@ -104,13 +123,43 @@ class TestPlrTree:
         assert w1 == w2
         assert 0 < w1 <= 1  # a whole tree's component sum is a rate
 
-    def test_log_space_fold_matches(self):
-        spec = TreeSpec(8, 3)
-        for bits in (0b10110100, 0b00000001, 0b11111111):
-            m = SupportMask(8, frozenset(i for i in range(8) if bits >> i & 1))
-            plain = hs.plr_tree(m, spec)
-            logged = plr_tree_log(m, spec)
-            assert logged.w == pytest.approx(plain.w, rel=1e-12)
+    @given(
+        st.integers(1, 10),
+        st.sampled_from([2, 3, 5]),
+        st.lists(st.tuples(st.integers(0, 1023), st.integers(1, 1024)), min_size=1, max_size=3),
+    )
+    @example(3, 3, [(2, 1), (4, 2), (7, 1)])
+    @example(3, 3, [(0, 1)])
+    @example(3, 3, [(0, 8)])
+    @settings(max_examples=60, deadline=None)
+    def test_log_space_fold_matches(self, m, d, intervals):
+        # on random multi-interval supports up to N = 1024, the rational run
+        # fold equals a plain level-by-level fold, and the log-scaled float
+        # fold agrees with it on ln w
+        n = 1 << m
+        support = SupportMask.empty(n)
+        for start, length in intervals:
+            support = support.union(SupportMask.interval(n, start % n, min(length, n)))
+        spec = TreeSpec(n, d)
+        exact_w = hs.plr_tree(support, spec, exact=True).w
+        assert exact_w == level_fold_w(support, spec)
+        ln_w = -hs.plr_tree(support, spec).log_d_norm * math.log(d)
+        assert ln_w == pytest.approx(exact_ln(exact_w), rel=1e-12)
+
+    @pytest.mark.parametrize("length,log_d_norm", [(8192, 8813.30869106342), (993, 1071.5057126770748)])
+    def test_underflowing_rates_stay_in_log_scale(self, length, log_d_norm):
+        # w below (or among the subnormal) doubles: the log-scaled fold keeps
+        # log_d_norm at the independent reference value
+        r = hs.plr_tree(SupportMask.interval(16384, 0, length), TreeSpec(16384, 2))
+        assert r.log_d_norm == pytest.approx(log_d_norm, rel=1e-9)
+
+    def test_exact_cap_follows_fold_cost(self):
+        # the cap bounds particle pairs x log2(d^4-1), not N: a sparse support
+        # on a large tree folds exactly, a dense one on a smaller tree is refused
+        big = SupportMask(1 << 14, frozenset({0, 5000, 9000}))
+        assert hs.plr_tree(big, TreeSpec(1 << 14, 5), exact=True).w > 0
+        with pytest.raises(ValueError, match="particle pairs"):
+            hs.plr_tree(SupportMask.interval(4096, 0, 4096), TreeSpec(4096, 5), exact=True)
 
 
 class TestEntanglementFeatureOracle:
@@ -142,10 +191,12 @@ class TestContiguousSeries:
         assert gs == [Fraction(-1, 2), Fraction(-1, 4)]
 
     def test_depth_vectors_d2(self):
-        _, v1 = hs.contiguous_series(2, 1, exact=True)
-        assert v1 == WVector(Fraction(-1, 15), Fraction(4, 15))
-        _, v2 = hs.contiguous_series(2, 2, exact=True)
-        assert v2 == WVector(Fraction(-11, 1125), Fraction(64, 1125))
+        # fully supported depth-1 and depth-2 trees: the particle leaf
+        # (-1/15 + 4/15) and its square (-11/1125 + 64/1125)
+        r1 = hs.plr_tree(SupportMask.interval(2, 0, 2), TreeSpec(2, 2), exact=True)
+        assert r1.w == Fraction(-1, 15) + Fraction(4, 15)
+        r2 = hs.plr_tree(SupportMask.interval(4, 0, 4), TreeSpec(4, 2), exact=True)
+        assert r2.w == Fraction(-11, 1125) + Fraction(64, 1125)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_g_monotone_in_band(self, d):
@@ -162,8 +213,11 @@ class TestContiguousSeries:
                 assert g_star * (g_star + a2) / (1 + a2 * g_star) == pytest.approx(g_star)
 
     def test_vector_matches_full_fold(self):
-        # depth-3 contiguous vector == folding a fully supported 8-leaf tree
-        _, v = hs.contiguous_series(2, 3, exact=True)
+        # depth-3 contiguous vector (the particle leaf squared twice by the
+        # gate rule) == folding a fully supported 8-leaf tree
+        v = hs.leaf_vector(True, 2, exact=True)
+        for _ in range(2):
+            v = hs.fuse(v, v, 2, exact=True)
         r = hs.plr_tree(SupportMask.interval(8, 0, 8), TreeSpec(8, 2), exact=True)
         assert v.total == r.w
 
@@ -265,6 +319,7 @@ class TestCrossover:
         assert math.exp(-contiguous_log_plr(2, 1)) == pytest.approx(5.0)
         assert 5.0 < hs.shallow_reference(2, 2)
         assert hs.crossover_numeric(2, 512) == 128
+        assert hs.crossover_numeric(2, 2**40) == 128
 
     def test_numeric_sentinel(self):
         assert hs.crossover_numeric(2, 64) is None
