@@ -100,12 +100,6 @@ def fit_ceff(
     return FitResult(c_eff=slope, stderr=math.sqrt(var), residual_rms=rms, n_points=n)
 
 
-def fit_ceff_from_sweep(rows: Sequence[dict], n_boundary: int, d: int | None = None) -> FitResult:
-    """fit_ceff on cut_sweep rows, using minC as the log_d norm."""
-    points = [(row["k"], float(row["minC"])) for row in rows]
-    return fit_ceff(points, n_boundary, d)
-
-
 def ceff_approx(l: int, p: int, q: int, n_boundary: int) -> float:
     """Half-boundary estimate of c_eff for an l-ring {p,q} network.
 

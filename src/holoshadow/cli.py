@@ -201,13 +201,7 @@ def _cmd_tiling_gen(args: argparse.Namespace) -> int:
 
 def _cmd_cut_sweep(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    rows = cuts.cut_sweep(
-        g,
-        mode=args.mode,
-        vertex_aligned_only=args.vertex_aligned,
-        oracle=args.oracle,
-        workers=args.workers,
-    )
+    rows = cuts.cut_sweep(g, mode=args.mode, vertex_aligned_only=args.vertex_aligned)
     _emit_csv(rows, CSV_SWEEP_COLUMNS, args)
     return 0
 
@@ -338,8 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--mode", choices=cuts.MODES, default="per-leg")
     p.add_argument("--vertex-aligned", action="store_true", dest="vertex_aligned")
-    p.add_argument("--oracle", choices=("auto", "maxflow", "both"), default="auto")
-    p.add_argument("--workers", type=int, default=None)
     common(p)
     p.set_defaults(func=_cmd_cut_sweep)
 

@@ -12,8 +12,7 @@ scheme-independent conversions:
 
       w(A) = (-1)^|A| / (d^2-1)^|A| * sum_{B subseteq A} (-d)^|B| W(B).
 
-All quantities here are pure functions of immutable values; everything is
-safe to share between workers.
+All quantities here are pure functions of immutable values.
 """
 
 from __future__ import annotations

@@ -4,27 +4,42 @@ The large-bond-dimension learning rate of a boundary interval is set by
 the cheapest way to separate the tiles pinned by the interval from the
 rest: flipping a boundary tile costs its boundary field (one unit per
 tile, or one per leg it owns, depending on mode), and every bulk edge on
-the resulting domain wall costs one unit.  Two independent solvers are
-provided:
+the resulting domain wall costs one unit.
 
-* ``bulk_geodesic`` -- the lightweight route for contiguous
-  intervals: an unweighted shortest path between the two gap nodes of the
-  dual graph at the interval's endpoints;
-* ``min_cut_exact``  -- a max-flow optimizer over all spin configurations
-  (source to pinned tiles at infinite capacity, unit capacities on bulk
-  edges, per-tile or per-leg capacities from boundary tiles to the sink).
+Production route (``cut_sweep``, ``plr_large_d``): planar duality on the
+*aligned hull*.  Every tile's legs form one contiguous run of the rim
+(``TilingGraph`` rejects graphs where they do not), so an interval pins
+exactly the tiles of its hull: the smallest interval containing it whose
+two ends a, b fall between legs of different tiles.  Those tiles' boundary
+cost c is always paid.  What remains is a planar s-t min cut: s joins the
+hull's tiles, t joins every other boundary tile through its boundary
+field, and both sit in the outer region on either side of the rim.  By
+planar duality (Itai & Shiloach 1979; Hassin 1981) that cut is the
+shortest path from gap a to gap b in the dual (``dual_graph``, whose
+planarity it checks) with one extra arc per leg outside the hull between
+the two gaps next to it, weighted by that leg's share of its tile's
+boundary field.  So
 
-``cut_sweep`` tabulates (start, k, bdryC, bulkC, minC) over contiguous
-intervals.  Optimizer queries are grouped by interval start: extending an
-interval only pins more tiles, i.e. only raises capacities, so each start
-re-augments one flow instead of solving every length from scratch.  Large
-sweeps fan out over worker processes (deterministic output either way).
+    minC = c + dist(a, b),
+
+one dual search per hull start (``_HullCuts``).  Walking the rim arcs all
+the way from a round to b is the global flip, so minC never exceeds the
+total boundary cost; a hull covering the whole rim costs that total.  On
+the generated {3,7} and {5,4} patches the shortest path is either the
+bulk geodesic (the wall around the hull) or that rim walk, so minC =
+min(c + geodesic, total) there; other graphs may mix the two.
+
+``min_cut_exact`` -- a max-flow optimizer over all spin configurations
+(source to pinned tiles at infinite capacity, unit capacities on bulk
+edges, per-tile or per-leg capacities from boundary tiles to the sink) --
+stays as the independent oracle, and prices pinned sets that are not
+intervals.
 """
 
 from __future__ import annotations
 
 import math
-import os
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -50,16 +65,6 @@ class CutResult:
     witness: frozenset | None = None
 
 
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: HOLOSHADOW_THREADS overrides, else request, else cores."""
-    env = os.environ.get("HOLOSHADOW_THREADS")
-    if env:
-        return max(1, int(env))
-    if requested is not None:
-        return max(1, requested)
-    return max(1, min(os.cpu_count() or 1, 8))
-
-
 def pinned_for_interval(g: TilingGraph, interval: SupportMask) -> frozenset:
     """Tiles owning at least one leg of the interval."""
     if interval.n != g.n_legs:
@@ -68,9 +73,9 @@ def pinned_for_interval(g: TilingGraph, interval: SupportMask) -> frozenset:
 
 
 class _FlowNet:
-    """Reusable max-flow network; only source capacities change per query."""
+    """Max-flow network of one graph with the pinned tiles tied to the source."""
 
-    def __init__(self, g: TilingGraph, mode: str):
+    def __init__(self, g: TilingGraph, mode: str, pinned: frozenset):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.mode = mode
@@ -81,42 +86,35 @@ class _FlowNet:
         self.sink = n + 1
         self.adj: list[list[int]] = [[] for _ in range(self.n)]
         self.to: list[int] = []
-        self.base_cap: list[int] = []
+        self.cap: list[int] = []
 
-        def push_arc(u: int, v: int, cap_uv: int, cap_vu: int) -> int:
-            idx = len(self.to)
-            self.adj[u].append(idx)
+        def push_arc(u: int, v: int, cap_uv: int, cap_vu: int) -> None:
+            self.adj[u].append(len(self.to))
             self.to.append(v)
-            self.base_cap.append(cap_uv)
-            self.adj[v].append(idx + 1)
+            self.cap.append(cap_uv)
+            self.adj[v].append(len(self.to))
             self.to.append(u)
-            self.base_cap.append(cap_vu)
-            return idx
+            self.cap.append(cap_vu)
 
         for u, v in g.edges:
             push_arc(u, v, 1, 1)
         self.sink_cap: dict[int, int] = {}
-        self.src_arc: dict[int, int] = {}
-        total_bdry = 0
         for v in range(n):
             legs = len(g.boundary_legs[v])
-            if not legs:
-                continue
-            cost = legs if mode == "per-leg" else 1
-            self.sink_cap[v] = cost
-            total_bdry += cost
-            push_arc(v, self.sink, cost, 0)
-            self.src_arc[v] = push_arc(self.source, v, 0, 0)
-        self.inf = total_bdry + len(g.edges) + 1
+            if legs:
+                self.sink_cap[v] = legs if mode == "per-leg" else 1
+                push_arc(v, self.sink, self.sink_cap[v], 0)
+        inf = sum(self.sink_cap.values()) + len(g.edges) + 1
+        for v in pinned:
+            if v not in self.sink_cap:
+                raise ValueError(f"pinned vertex {v} owns no boundary legs")
+            push_arc(self.source, v, inf, 0)
 
-    def _augment_all(self, cap: list[int]) -> tuple[int, list[int]]:
-        """Dinic phases until the sink is unreachable.
-
-        Returns (flow added, final BFS levels); since the final BFS failed
-        to reach the sink, its visited set is exactly the residual-reachable
-        source side of a minimum cut.
-        """
-        n, to, adj = self.n, self.to, self.adj
+    def min_cut(self) -> CutResult:
+        """Dinic phases until the sink is unreachable; the final BFS's
+        visited set is then the residual-reachable source side of a
+        minimum cut, which gives the decomposition and the witness."""
+        n, to, adj, cap = self.n, self.to, self.adj, self.cap
         source, sink = self.source, self.sink
         flow = 0
         while True:
@@ -131,7 +129,7 @@ class _FlowNet:
                         level[w] = lu + 1
                         queue.append(w)
             if level[sink] < 0:
-                return flow, level
+                break
             it = [0] * n
             while True:
                 stack = [source]
@@ -168,51 +166,13 @@ class _FlowNet:
                     cap[a] -= push
                     cap[a ^ 1] += push
                 flow += push
-
-    def _decompose(self, flow: int, level: list[int], with_witness: bool = False) -> CutResult:
         reach = [lv >= 0 for lv in level]
         bdry = sum(c for v, c in self.sink_cap.items() if reach[v])
         bulk = sum(1 for u, v in self.graph.edges if reach[u] != reach[v])
         if bdry + bulk != flow:
             raise RuntimeError(f"cut decomposition {bdry}+{bulk} != flow {flow}")
-        witness = None
-        if with_witness:
-            witness = frozenset(v for v in range(self.graph.n_vertices) if reach[v])
+        witness = frozenset(v for v in range(self.graph.n_vertices) if reach[v])
         return CutResult(bdry_cost=bdry, bulk_cost=bulk, min_cost=flow, mode=self.mode, witness=witness)
-
-    def min_cut(self, pinned: frozenset, with_witness: bool = False) -> CutResult:
-        for v in pinned:
-            if v not in self.src_arc:
-                raise ValueError(f"pinned vertex {v} owns no boundary legs")
-        cap = self.base_cap.copy()
-        for v in pinned:
-            cap[self.src_arc[v]] = self.inf
-        flow, level = self._augment_all(cap)
-        return self._decompose(flow, level, with_witness)
-
-    def incremental_cuts(self, pin_steps: list[list[int]]) -> list[CutResult]:
-        """Min cuts for a monotonically growing pinned set.
-
-        ``pin_steps[i]`` lists the vertices newly pinned at step i; opening
-        a source arc only increases capacities, so the previous flow stays
-        feasible and is re-augmented rather than recomputed.  Steps that
-        pin nothing new reuse the previous result outright.
-        """
-        cap = self.base_cap.copy()
-        flow = 0
-        results: list[CutResult] = []
-        for new_pins in pin_steps:
-            if not new_pins and results:
-                results.append(results[-1])
-                continue
-            for v in new_pins:
-                if v not in self.src_arc:
-                    raise ValueError(f"pinned vertex {v} owns no boundary legs")
-                cap[self.src_arc[v]] = self.inf
-            added, level = self._augment_all(cap)
-            flow += added
-            results.append(self._decompose(flow, level))
-        return results
 
 
 def min_cut_exact(g: TilingGraph, pinned_vertices: Iterable[int], mode: str = "per-vertex") -> CutResult:
@@ -224,7 +184,7 @@ def min_cut_exact(g: TilingGraph, pinned_vertices: Iterable[int], mode: str = "p
     """
     if g.n_vertices == 0:
         raise ValueError("empty graph")
-    return _FlowNet(g, mode).min_cut(frozenset(pinned_vertices), with_witness=True)
+    return _FlowNet(g, mode, frozenset(pinned_vertices)).min_cut()
 
 
 def bulk_geodesic(g: TilingGraph, dual: DualGraph, interval: SupportMask) -> int:
@@ -248,63 +208,6 @@ def bulk_geodesic(g: TilingGraph, dual: DualGraph, interval: SupportMask) -> int
     return int(dist)
 
 
-def plr_large_d(
-    g: TilingGraph, interval: SupportMask, d: int, mode: str = "per-leg"
-) -> PlrResult:
-    """Leading-order learning rate w = d^-minC for the pinned interval."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    cut = min_cut_exact(g, pinned_for_interval(g, interval), mode)
-    log_w = -cut.min_cost * math.log(d)
-    result = PlrResult.from_log_w(log_w, d)
-    # the exponent is exact by construction; avoid round-off in the log
-    return PlrResult(w=result.w, shadow_norm_sq=result.shadow_norm_sq, log_d_norm=float(cut.min_cost))
-
-
-# ---------------------------------------------------------------------------
-# sweeps
-
-_WORKER_NET: _FlowNet | None = None
-
-
-def _sweep_worker_init(graph_json: dict, mode: str) -> None:
-    global _WORKER_NET
-    _WORKER_NET = _FlowNet(TilingGraph.from_json_dict(graph_json), mode)
-
-
-def _sweep_worker(task: tuple[int, list[tuple[int, list[int]]]]) -> list[tuple[int, int, int, int, int]]:
-    start, steps = task
-    cuts_for_start = _WORKER_NET.incremental_cuts([pins for _, pins in steps])
-    return [
-        (start, k, c.bdry_cost, c.bulk_cost, c.min_cost)
-        for (k, _), c in zip(steps, cuts_for_start)
-    ]
-
-
-def _start_tasks(
-    g: TilingGraph, ks_by_start: dict[int, list[int]]
-) -> list[tuple[int, list[tuple[int, list[int]]]]]:
-    """Per start: the k values to solve, with the vertices newly pinned at
-    each k (the pinned set only grows as the interval extends)."""
-    n = g.n_legs
-    tasks = []
-    for start in sorted(ks_by_start):
-        steps: list[tuple[int, list[int]]] = []
-        pinned: set[int] = set()
-        prev_k = 0
-        for k in sorted(ks_by_start[start]):
-            new_pins: list[int] = []
-            for i in range(prev_k, k):
-                v = g.leg_owner((start + i) % n)
-                if v not in pinned:
-                    pinned.add(v)
-                    new_pins.append(v)
-            steps.append((k, new_pins))
-            prev_k = k
-        tasks.append((start, steps))
-    return tasks
-
-
 def aligned_positions(g: TilingGraph) -> set[int]:
     """Boundary positions falling between legs of two different tiles."""
     n = g.n_legs
@@ -312,93 +215,162 @@ def aligned_positions(g: TilingGraph) -> set[int]:
     return {j for j in range(n) if owner[(j - 1) % n] != owner[j]}
 
 
+class _HullCuts:
+    """Aligned-hull cuts of one graph in one mode, O(1) per interval.
+
+    Holds prefix sums of boundary cost per leg (a tile's cost sits on its
+    first leg in per-vertex mode, which is also the weight of the rim arc
+    crossing that leg), each position's distance to the hull ends around
+    it, and, per hull start, the dual distances to every hull end.
+
+    A distance is stored as units * scale + rim, where units counts cut
+    units and rim the boundary cost of the rim arcs on the path.  Among
+    shortest paths the search keeps the least rim cost: that is the
+    smallest optimal flipped set, the residual-reachable side that
+    max-flow reports, so the (bdryC, bulkC) split agrees with it.
+    """
+
+    def __init__(self, g: TilingGraph, mode: str):
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        n = g.n_legs
+        aligned = self.aligned = aligned_positions(g)
+        per_leg = self.per_leg = mode == "per-leg"
+        self.n = n
+        self.total = sum(len(legs) if per_leg else 1 for legs in g.boundary_legs if legs)
+        self.scale = self.total + 1
+        self.leg_cost = [1 if per_leg or j in aligned else 0 for j in range(n)]
+        self.prefix = [0]
+        for j in range(2 * n):
+            self.prefix.append(self.prefix[-1] + self.leg_cost[j % n])
+        # back[j] / ahead[j]: legs from the aligned position that starts the
+        # run of leg j's tile / that ends the run of leg j-1's tile (n when
+        # one tile owns the whole rim, so every hull is the whole rim)
+        owner = [g.leg_owner(j) for j in range(n)]
+        first = {owner[j]: j for j in aligned}
+        after = {owner[j - 1]: j for j in aligned}
+        self.back = [(j - first[owner[j]]) % n for j in range(n)] if aligned else [n] * n
+        self.ahead = [(after[owner[j - 1]] - j) % n for j in range(n)] if aligned else [n] * n
+        self.dual = dual_graph(g) if aligned else None
+        self.gap_pos = {node: j for j, node in self.dual.gap_index.items()} if aligned else {}
+        self._from: dict[int, tuple[list[float], list[int]]] = {}
+
+    def _search(self, a: int) -> tuple[list[float], list[int]]:
+        """Per hull end b: the bulk geodesic from gap a (in arcs) and the
+        scaled dual distance with the rim arcs outside the hull [a, b)."""
+        n, dual, cost, scale = self.n, self.dual, self.leg_cost, self.scale
+        gap, adj, pos = dual.gap_index, dual.neighbors, self.gap_pos
+        hops = dual.distances_from(gap[a])
+        geodesic = [hops[gap[j]] for j in range(n)]
+        dist = [h * scale for h in hops]
+        ends = [0] * n
+        queue: deque[int] = deque()
+
+        def improve(node: int, value: float) -> None:
+            if value < dist[node]:
+                dist[node] = value
+                queue.append(node)
+
+        # open the rim arcs one by one, from the leg just behind a backwards;
+        # once the arc across leg j is open, so is every arc from j round to
+        # a, and position j can end a hull
+        for r in range(n - 1, 0, -1):
+            j = (a + r) % n
+            u, v = gap[j], gap[(j + 1) % n]
+            weight = cost[j] * (scale + 1)
+            improve(u, dist[v] + weight)
+            improve(v, dist[u] + weight)
+            while queue:
+                u = queue.popleft()
+                du = dist[u]
+                for v in adj[u]:
+                    improve(v, du + scale)
+                p = pos.get(u)
+                if p is not None:
+                    if (p - a) % n >= r:
+                        improve(gap[(p + 1) % n], du + cost[p] * (scale + 1))
+                    if (p - 1 - a) % n >= r:
+                        improve(gap[(p - 1) % n], du + cost[(p - 1) % n] * (scale + 1))
+            ends[j] = dist[gap[j]]
+        self._from[a] = (geodesic, ends)
+        return geodesic, ends
+
+    def cut(self, start: int, k: int, clamp_aligned: bool = True) -> tuple[int, int, int]:
+        """(bdryC, bulkC, minC) of the interval of k legs from start.
+
+        With clamp_aligned=False, a per-leg interval that is its own hull
+        and whose minimum cut is the global flip reports the wall
+        k + geodesic instead, which may exceed the flip.
+        """
+        if k == 0:
+            return 0, 0, 0
+        n = self.n
+        end = (start + k) % n
+        back, ahead = self.back[start], self.ahead[end]
+        if back + k + ahead >= n:
+            return self.total, 0, self.total
+        a = (start - back) % n
+        b = (end + ahead) % n
+        c = self.prefix[a + back + k + ahead] - self.prefix[a]
+        geodesic, ends = self._from.get(a) or self._search(a)
+        units, rim = divmod(ends[b], self.scale)
+        wall = c + geodesic[b]
+        if not clamp_aligned and self.per_leg and c == k and c + units == self.total and wall < math.inf:
+            return c, int(wall) - c, int(wall)
+        return c + rim, units - rim, c + units
+
+
+def plr_large_d(
+    g: TilingGraph, interval: SupportMask, d: int, mode: str = "per-leg"
+) -> PlrResult:
+    """Leading-order learning rate w = d^-minC; contiguous intervals take
+    the hull route, other supports ``min_cut_exact``."""
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    if interval.n != g.n_legs:
+        raise ValueError(f"interval over {interval.n} legs, graph has {g.n_legs}")
+    bounds = interval.contiguous_bounds()
+    if bounds is None:
+        min_cost = min_cut_exact(g, pinned_for_interval(g, interval), mode).min_cost
+    else:
+        min_cost = _HullCuts(g, mode).cut(*bounds)[2]
+    result = PlrResult.from_log_w(-min_cost * math.log(d), d)
+    # the exponent is exact by construction; avoid round-off in the log
+    return PlrResult(w=result.w, shadow_norm_sq=result.shadow_norm_sq, log_d_norm=float(min_cost))
+
+
 def cut_sweep(
-    g: TilingGraph,
-    mode: str = "per-leg",
-    vertex_aligned_only: bool = False,
-    oracle: str = "auto",
-    workers: int | None = None,
+    g: TilingGraph, mode: str = "per-leg", vertex_aligned_only: bool = False, oracle: str = "auto"
 ) -> list[dict]:
     """(start, k, bdryC, bulkC, minC) for contiguous boundary intervals.
 
-    oracle:
-      * "auto"    -- dual BFS for vertex-aligned intervals in per-leg mode
-                     (bdryC = k there), max-flow for everything else;
-      * "maxflow" -- optimizer everywhere;
-      * "both"    -- optimizer everywhere, plus a "bulkC_bfs" column on
-                     aligned per-leg intervals for cross-checking.
-
     Rows are ordered by (k, start) with a single zero row for k = 0.
-    Optimizer queries are solved per start by incremental re-augmentation;
-    lengths that pin no new tile reuse the previous cut outright.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if oracle not in ("auto", "maxflow", "both"):
-        raise ValueError(f"unknown oracle {oracle!r}")
-    n = g.n_legs
-    aligned = aligned_positions(g)
 
-    intervals: list[tuple[int, int]] = []
+    oracle:
+      * "auto"    -- the hull route.  Per-leg rows whose interval is itself
+                     aligned and whose minimum cut is the global flip report
+                     the wall k + geodesic instead, which may exceed N (the
+                     column the c_eff fits are defined over);
+      * "maxflow" -- ``min_cut_exact`` on every row, one solve per distinct
+                     pinned set; every row is the minimum cut.
+    """
+    if oracle not in ("auto", "maxflow"):
+        raise ValueError(f"unknown oracle {oracle!r}")
+    hull = _HullCuts(g, mode)
+    n, aligned = g.n_legs, hull.aligned
+    solved: dict[frozenset, CutResult] = {}
+    rows: list[dict] = [{"start": 0, "k": 0, "bdryC": 0, "bulkC": 0, "minC": 0}]
     for k in range(1, n):
         for start in range(n):
             if vertex_aligned_only and not (start in aligned and (start + k) % n in aligned):
                 continue
-            intervals.append((start, k))
-
-    def is_aligned(start: int, k: int) -> bool:
-        return start in aligned and (start + k) % n in aligned
-
-    bfs_ok = mode == "per-leg"
-    dual = dual_graph(g) if bfs_ok and oracle in ("auto", "both") else None
-    dist_cache: dict[int, list[float]] = {}
-
-    def bfs_bulk(start: int, k: int) -> int:
-        pos_a, pos_b = start, (start + k) % n
-        if pos_a not in dist_cache:
-            dist_cache[pos_a] = dual.distances_from(dual.gap_index[pos_a])
-        dist = dist_cache[pos_a][dual.gap_index[pos_b]]
-        if math.isinf(dist):
-            raise RuntimeError(f"aligned interval ({start},{k}) has disconnected dual gaps")
-        return int(dist)
-
-    # group optimizer queries by start for incremental re-augmentation
-    ks_by_start: dict[int, list[int]] = {}
-    for start, k in intervals:
-        flow_needed = oracle in ("maxflow", "both") or not (
-            bfs_ok and oracle == "auto" and is_aligned(start, k)
-        )
-        if flow_needed:
-            ks_by_start.setdefault(start, []).append(k)
-
-    flow_results: dict[tuple[int, int], tuple[int, int, int]] = {}
-    tasks = _start_tasks(g, ks_by_start)
-    n_workers = resolve_workers(workers)
-    if sum(len(steps) for _, steps in tasks) >= 2048 and n_workers > 1:
-        import multiprocessing as mp
-
-        graph_json = g.to_json_dict()
-        with mp.Pool(n_workers, initializer=_sweep_worker_init, initargs=(graph_json, mode)) as pool:
-            for chunk in pool.imap_unordered(_sweep_worker, tasks, chunksize=4):
-                for start, k, bdry, bulk, minc in chunk:
-                    flow_results[(start, k)] = (bdry, bulk, minc)
-    else:
-        net = _FlowNet(g, mode)
-        for start, steps in tasks:
-            for (k, _), cut in zip(steps, net.incremental_cuts([p for _, p in steps])):
-                flow_results[(start, k)] = (cut.bdry_cost, cut.bulk_cost, cut.min_cost)
-
-    rows: list[dict] = [{"start": 0, "k": 0, "bdryC": 0, "bulkC": 0, "minC": 0}]
-    for start, k in intervals:
-        row: dict = {"start": start, "k": k}
-        if (start, k) in flow_results:
-            bdry, bulk, minc = flow_results[(start, k)]
-            row.update(bdryC=bdry, bulkC=bulk, minC=minc)
-            if oracle == "both" and bfs_ok and is_aligned(start, k):
-                row["bulkC_bfs"] = bfs_bulk(start, k)
-        else:
-            bulk = bfs_bulk(start, k)
-            row.update(bdryC=k, bulkC=bulk, minC=k + bulk)
-        rows.append(row)
-    rows.sort(key=lambda r: (r["k"], r["start"]))
+            if oracle == "auto":
+                bdry, bulk, min_cost = hull.cut(start, k, clamp_aligned=False)
+            else:
+                pinned = frozenset(g.leg_owner((start + i) % n) for i in range(k))
+                if pinned not in solved:
+                    solved[pinned] = min_cut_exact(g, pinned, mode)
+                cut = solved[pinned]
+                bdry, bulk, min_cost = cut.bdry_cost, cut.bulk_cost, cut.min_cost
+            rows.append({"start": start, "k": k, "bdryC": bdry, "bulkC": bulk, "minC": min_cost})
     return rows

@@ -26,6 +26,7 @@ boundary points is a shortest path between their gap nodes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,6 +51,42 @@ class TilingGraph:
     # generator-internal metadata (not serialized); used by test oracles
     meta: dict | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        """Reject graphs the solvers cannot trust: bad edge endpoints, a rim
+        order or rotation that disagrees with the tiles' edges and legs, or
+        a tile whose legs are not one contiguous run of the rim (the cut
+        solvers' hull route relies on this)."""
+        n = self.n_vertices
+        if len(self.boundary_legs) != n:
+            raise ValueError(f"{len(self.boundary_legs)} boundary-leg lists for {n} vertices")
+        if self.rotation is not None and len(self.rotation) != n:
+            raise ValueError(f"{len(self.rotation)} rotation lists for {n} vertices")
+        pairs: set[tuple[int, int]] = set()
+        for u, v in self.edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) has an endpoint outside vertices 0..{n - 1}")
+            if u == v:
+                raise ValueError(f"edge ({u},{v}) is a self-loop")
+            if (min(u, v), max(u, v)) in pairs:
+                raise ValueError(f"edge ({u},{v}) is listed twice")
+            pairs.add((min(u, v), max(u, v)))
+        claimed = sorted((leg, v) for v, legs in enumerate(self.boundary_legs) for leg in legs)
+        if claimed != [(leg, v) for leg, v in self.boundary_order]:
+            raise ValueError(
+                "boundary_order must list legs 0..N-1 in rim order, each with the vertex "
+                "whose boundary_legs hold it"
+            )
+        if self.rotation is not None:
+            listed = sorted((kind, v, ref) for v, rot in enumerate(self.rotation) for kind, ref in rot)
+            darts = [("edge", u, v) for u, v in self.edges] + [("edge", v, u) for u, v in self.edges]
+            if listed != sorted(darts + [("leg", v, leg) for leg, v in self.boundary_order]):
+                raise ValueError("rotation must list each edge once at each end and each leg at its tile")
+        owner = [v for _, v in self.boundary_order]
+        run_starts = [owner[j] for j in range(len(owner)) if owner[j - 1] != owner[j]]
+        if len(run_starts) != len(set(run_starts)):
+            split = next(v for v in run_starts if run_starts.count(v) > 1)
+            raise ValueError(f"the legs of vertex {split} are not one contiguous run of the rim")
+
     @property
     def n_vertices(self) -> int:
         return len(self.vertex_layers)
@@ -60,13 +97,6 @@ class TilingGraph:
 
     def leg_owner(self, leg: int) -> int:
         return self.boundary_order[leg][1]
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
 
     def to_json_dict(self) -> dict:
         out = {
@@ -93,22 +123,27 @@ class TilingGraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TilingGraph":
-        vertices = sorted(data["vertices"], key=lambda v: v["id"])
-        if [v["id"] for v in vertices] != list(range(len(vertices))):
-            raise ValueError("vertex ids must be 0..n-1")
-        rotation = None
-        if "rotation" in data:
-            rotation = [[(kind, ref) for kind, ref in rot] for rot in data["rotation"]]
-        return cls(
-            p=data["p"],
-            q=data["q"],
-            layers=data["layers"],
-            vertex_layers=[v["layer"] for v in vertices],
-            boundary_legs=[list(v["boundary_legs"]) for v in vertices],
-            edges=[(u, v) for u, v in data["edges"]],
-            boundary_order=[(b["leg"], b["vertex"]) for b in data["boundary_order"]],
-            rotation=rotation,
-        )
+        try:
+            vertices = sorted(data["vertices"], key=lambda v: v["id"])
+            if [v["id"] for v in vertices] != list(range(len(vertices))):
+                raise ValueError("vertex ids must be 0..n-1")
+            rotation = None
+            if "rotation" in data:
+                rotation = [[(kind, ref) for kind, ref in rot] for rot in data["rotation"]]
+            return cls(
+                p=data["p"],
+                q=data["q"],
+                layers=data["layers"],
+                vertex_layers=[v["layer"] for v in vertices],
+                boundary_legs=[list(v["boundary_legs"]) for v in vertices],
+                edges=[(u, v) for u, v in data["edges"]],
+                boundary_order=[(b["leg"], b["vertex"]) for b in data["boundary_order"]],
+                rotation=rotation,
+            )
+        except KeyError as exc:
+            raise ValueError(f"graph is missing the key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed graph: {exc}") from None
 
     @classmethod
     def load(cls, path: str | Path) -> "TilingGraph":
@@ -129,28 +164,23 @@ class DualGraph:
     arcs: list[tuple[int, int, int]]  # (node_a, node_b, bulk edge index)
     gap_index: dict[int, int]
     interior_nodes: list[int]
+    neighbors: list[list[int]] = field(init=False, repr=False, compare=False)
 
-    def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
+    def __post_init__(self) -> None:
+        self.neighbors = [[] for _ in range(self.n_nodes)]
         for a, b, _ in self.arcs:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
+            self.neighbors[a].append(b)
+            self.neighbors[b].append(a)
 
     def distances_from(self, node: int) -> list[float]:
         """Unweighted BFS distances (math.inf where unreachable)."""
-        import math as _math
-
-        adj = self.neighbors()
-        dist = [_math.inf] * self.n_nodes
+        adj = self.neighbors
+        dist = [math.inf] * self.n_nodes
         dist[node] = 0
         queue = [node]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
+        for u in queue:
             for v in adj[u]:
-                if dist[v] == _math.inf:
+                if dist[v] == math.inf:
                     dist[v] = dist[u] + 1
                     queue.append(v)
         return dist
@@ -423,17 +453,10 @@ def dual_graph(g: TilingGraph) -> DualGraph:
     n = g.n_vertices
     rotation = g.rotation
 
-    # sanity: each edge entry must point back, each leg appear exactly once
-    entry_slot: dict[tuple[str, int, int], int] = {}
-    for v, rot in enumerate(rotation):
-        for slot, (kind, ref) in enumerate(rot):
-            key = (kind, v, ref)
-            if key in entry_slot:
-                raise ValueError(f"rotation of vertex {v} repeats {kind} {ref}")
-            entry_slot[key] = slot
-    for u, v in g.edges:
-        if ("edge", u, v) not in entry_slot or ("edge", v, u) not in entry_slot:
-            raise ValueError(f"edge ({u},{v}) missing from the rotation system")
+    # TilingGraph has checked that every edge end and leg appears once
+    entry_slot = {
+        (kind, v, ref): slot for v, rot in enumerate(rotation) for slot, (kind, ref) in enumerate(rot)
+    }
 
     n_legs = g.n_legs
 
@@ -459,6 +482,12 @@ def dual_graph(g: TilingGraph) -> DualGraph:
                 s = (back + 1) % len(rotation[nxt_v])
                 v = nxt_v
             orbits.append(orbit)
+
+    # Euler: a connected planar embedding has V - E + F = 2; tiles with
+    # neither edges nor legs take no part
+    embedded = sum(1 for rot in rotation if rot)
+    if embedded - len(g.edges) + len(orbits) != 2:
+        raise ValueError("rotation system is not a connected planar embedding (Euler characteristic)")
 
     outer_orbits = [
         o for o in orbits if any(rotation[v][s][0] == "leg" for v, s in o)

@@ -55,11 +55,11 @@ from .lambertw import lambert_w
 #: eta-model enumeration cap: 2^(N-1) gate assignments.
 MAX_BRUTEFORCE_LEAVES = 16
 
-#: Rational-fold cap on particle pairs x log2(d^4-1), the least bit length
-#: the root's denominator grows to (each fuse of a mixed subtree adds up
-#: to log2(d^2+1) more).  Full supports at the cap fold in about 1 ms;
-#: sparse ones up to N = 2^20 took under 0.5 s on a 2-vCPU host.
-MAX_EXACT_BITS = 5000
+#: Rational-fold cap on an upper bound of the root denominator's bit length:
+#: log2(d^4-1) per particle pair plus log2(d^2+1) per fuse of a subtree that
+#: holds a particle.  14000 bits (4215 digits) keeps the printed fraction
+#: under CPython's default 4300-digit limit on int-to-str conversion.
+MAX_EXACT_BITS = 14000
 
 _LOG_MAX = math.log(1.7e308)
 
@@ -190,18 +190,25 @@ def plr_tree(support: SupportMask, spec: TreeSpec, exact: bool = False) -> PlrRe
     particle-like when at least one of its qudits is in the support.  The
     float fold keeps w in log scale, so ``log_d_norm`` stays accurate where
     w itself underflows.  With ``exact=True`` the fold runs in rational
-    arithmetic, for particle pairs x log2(d^4-1) <= MAX_EXACT_BITS.
+    arithmetic, while the bound on the root denominator's bit length stays
+    within MAX_EXACT_BITS.
     """
     if support.n != spec.n:
         raise ValueError(f"support is over {support.n} sites but the tree has {spec.n} leaves")
     runs = _pair_runs(support)
     if not exact:
         return PlrResult.from_log_w(_log_w(runs, spec.d), spec.d)
-    bits = sum(count for flag, count in runs if flag) * math.log2(spec.d**4 - 1)
+    mixed_bits = math.log2(spec.d**2 + 1)
+    bits = _fold_runs(
+        runs,
+        0.0,
+        math.log2(spec.d**4 - 1),
+        lambda left, right: left + right + (mixed_bits if left or right else 0.0),
+    )
     if bits > MAX_EXACT_BITS:
         raise ValueError(
-            f"rational mode is limited to particle pairs x log2(d^4-1) <= {MAX_EXACT_BITS}, "
-            f"this support needs {bits:.0f}"
+            f"rational mode is limited to {MAX_EXACT_BITS} denominator bits (particle pairs x log2(d^4-1) "
+            f"plus particle-holding fuses x log2(d^2+1)), this support may need {bits:.0f}"
         )
     root = _fold_runs(
         runs,

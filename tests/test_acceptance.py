@@ -134,13 +134,13 @@ def test_criterion_05_two_triangle_reproduction(tmp_path):
 
 
 def test_criterion_06_cut_oracle_equivalence(sweeps37, sweeps54, graphs37, graphs54):
-    """BFS geodesic vs max-flow on every contiguous full-vertex interval.
+    """Dual-geodesic sweep vs max-flow on every contiguous full-vertex interval.
 
-    Verbatim bulk equality holds wherever a domain-wall optimum exists
-    (all k <= N/2 and beyond, up to the flip threshold); past k + geodesic
-    >= N the optimizer's minimum is the wall-free global flip, where the
-    two decompositions agree on the value min(k + geodesic, N) instead
-    (see the decisions ledger for the full analysis).
+    Every row here is a per-leg interval that is its own aligned hull, so the
+    sweep reports the wall (bdryC = k, bulkC = geodesic) unclamped.  Verbatim
+    equality holds wherever a domain-wall optimum exists; past k + geodesic
+    >= N the optimizer's minimum is the wall-free global flip, where the two
+    agree on the value min(k + geodesic, N) instead.
     """
     checked = 0
     ok = True
@@ -148,20 +148,20 @@ def test_criterion_06_cut_oracle_equivalence(sweeps37, sweeps54, graphs37, graph
         for layers, rows in sweeps.items():
             n = graphs[layers].n_legs
             for row in rows:
-                if not row["k"] or "bulkC_bfs" not in row:
+                if not row["k"]:
                     continue
-                k, geo = row["k"], row["bulkC_bfs"]
+                k, geo = row["k"], row["bulkC"]
                 wall = k + geo
+                bdry, bulk, min_cost = row["oracle"]
                 checked += 1
-                ok = ok and row["minC"] == min(wall, n)
-                if k <= n // 2:
-                    ok = ok and row["bulkC"] == geo and row["bdryC"] == k
-                elif wall < n:
-                    ok = ok and (row["bdryC"], row["bulkC"]) == (k, geo)
+                ok = ok and row["bdryC"] == k and row["minC"] == wall
+                ok = ok and min_cost == min(wall, n)
+                if wall < n:
+                    ok = ok and (bdry, bulk) == (k, geo)
                 elif wall > n:
-                    ok = ok and (row["bdryC"], row["bulkC"]) == (n, 0)
+                    ok = ok and (bdry, bulk) == (n, 0)
                 else:
-                    ok = ok and (row["bdryC"], row["bulkC"]) in ((k, geo), (n, 0))
+                    ok = ok and (bdry, bulk) in ((k, geo), (n, 0))
     report(
         6,
         ok,
@@ -197,13 +197,13 @@ def test_criterion_07_half_boundary_cuts(graphs37, graphs54):
 
 def test_criterion_08_lower_bound_staircase(sweeps37, sweeps54, graphs37, graphs54):
     tables = list(sweeps37.values()) + list(sweeps54.values())
-    # also the deepest {3,7} patch (geodesic route), an unrestricted {5,4}
-    # sweep including partial-tile intervals (optimizer route), and the
+    # also the deepest {3,7} patch, an unrestricted {5,4} sweep including
+    # partial-tile intervals (priced through their aligned hulls), and the
     # degenerate patches
-    tables.append(cut_sweep(graphs37[6], "per-leg", oracle="auto"))
+    tables.append(cut_sweep(graphs37[6], "per-leg"))
     tables.append(cut_sweep(graphs54[3], "per-leg", vertex_aligned_only=False))
     for g in (graphs37[1], graphs54[1], two_tile_graph(3)):
-        tables.append(cut_sweep(g, "per-leg", workers=1))
+        tables.append(cut_sweep(g, "per-leg"))
     ok = True
     total = 0
     for rows in tables:

@@ -1,12 +1,14 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 import holoshadow as hs
 from holoshadow.cli import run
 from holoshadow.tiling import two_tile_graph
+from holoshadow.tree import MAX_EXACT_BITS
 
 
 def run_json(args, tmp_path, name="out.json"):
@@ -38,6 +40,19 @@ class TestTreeCommands:
     def test_plr_exact_over_cap(self, tmp_path, capsys):
         args = ["tree", "plr", "--d", "5", "--n", "4096", "--support", "0:4096", "--exact"]
         assert run(args + ["--out", str(tmp_path / "x.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: rational mode")
+
+    def test_plr_exact_cap_bounds_printed_fraction(self, tmp_path, capsys):
+        # single sites 256 apart: every fuse above a particle pair adds
+        # log2(d^2+1) bits, which the cap must count for its root to print
+        def args(sites):
+            support = ",".join(f"{256 * i}:1" for i in range(sites))
+            return ["tree", "plr", "--d", "2", "--n", "262144", "--support", support, "--exact"]
+
+        doc = run_json(args(620), tmp_path)
+        assert 12000 < Fraction(doc["w_exact"]).denominator.bit_length() <= MAX_EXACT_BITS
+        assert run(args(1024) + ["--out", str(tmp_path / "x.json")]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: rational mode")
 
@@ -157,6 +172,8 @@ class TestErrors:
     def test_usage_error_is_2(self):
         assert run(["tree", "plr", "--nonsense"]) == 2
         assert run([]) == 2
+        assert run(["cut", "sweep", "--graph", "g.json", "--workers", "2"]) == 2
+        assert run(["cut", "sweep", "--graph", "g.json", "--oracle", "maxflow"]) == 2
 
     def test_computation_error_is_1(self, tmp_path, capsys):
         out = tmp_path / "x.json"
@@ -173,6 +190,51 @@ class TestErrors:
         code = run(["ising", "plr", "--graph", str(gpath), "--d", "2", "--support", "0:1,2:1"])
         assert code == 1
         assert "tree-only" in capsys.readouterr().err
+
+
+def _split_a_tile(data):
+    """Swap the middle leg of a three-leg tile with a distant leg of another
+    tile, keeping boundary_order, boundary_legs and rotation in agreement."""
+    vertices, order = data["vertices"], data["boundary_order"]
+    tile = next(v for v in vertices if len(legs := v["boundary_legs"]) == 3 and legs[2] - legs[0] == 2)
+    mid = tile["boundary_legs"][1]
+    far = next(b for b in order if b["vertex"] != tile["id"] and abs(b["leg"] - mid) > 3)
+    other = vertices[far["vertex"]]
+    tile["boundary_legs"] = sorted(set(tile["boundary_legs"]) - {mid} | {far["leg"]})
+    other["boundary_legs"] = sorted(set(other["boundary_legs"]) - {far["leg"]} | {mid})
+    order[mid]["vertex"], far["vertex"] = other["id"], tile["id"]
+    for v, old, new in ((tile, mid, far["leg"]), (other, far["leg"], mid)):
+        rot = data["rotation"][v["id"]]
+        rot[rot.index(["leg", old])] = ["leg", new]
+
+
+def _give_leg_0_to_leg_1s_owner(data):
+    order = data["boundary_order"]
+    order[0]["vertex"] = order[1]["vertex"]
+
+
+# corrupted field -> (tiling, corruption, error message fragment)
+CORRUPTIONS = {
+    "missing_key": ((3, 7), lambda data: data.pop("edges"), "missing the key 'edges'"),
+    "dangling_edge": ((3, 7), lambda data: data["edges"].append([0, len(data["vertices"])]), "outside vertices"),
+    "self_loop": ((3, 7), lambda data: data["edges"].append([1, 1]), "self-loop"),
+    "owner": ((3, 7), _give_leg_0_to_leg_1s_owner, "boundary_order"),
+    "split_tile": ((5, 4), _split_a_tile, "not one contiguous run"),
+}
+
+
+class TestMalformedGraphs:
+    @pytest.mark.parametrize("field", sorted(CORRUPTIONS))
+    def test_rejected_on_load(self, tmp_path, capsys, field):
+        (p, q), corrupt, message = CORRUPTIONS[field]
+        data = hs.generate_tiling(p, q, 2).to_json_dict()
+        corrupt(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        for args in (["ising", "plr", "--d", "3", "--support", "0:2"], ["cut", "sweep"]):
+            assert run(args + ["--graph", str(path), "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
 class TestSchemas:

@@ -1,7 +1,8 @@
 """Minimal-cut solvers: geodesic vs optimizer, sweeps, large-d rates."""
 
-import os
+import math
 
+import numpy as np
 import pytest
 
 import holoshadow as hs
@@ -11,15 +12,64 @@ from holoshadow.cuts import (
     bulk_geodesic,
     cut_sweep,
     min_cut_exact,
+    pinned_for_interval,
     plr_large_d,
-    resolve_workers,
 )
 from holoshadow.tiling import dual_graph, two_tile_graph
+
+from conftest import drawn_graph, oracle_sweep, random_planar_graph
 
 
 @pytest.fixture(scope="module")
 def two_tile():
     return two_tile_graph(3)
+
+
+def hub_graph():
+    """Twelve one-leg rim tiles A, B, C, R1..R8, Z in a cycle; C..Z also
+    meet an interior hub, and interior tiles I1..I5 each touch both A and
+    B, chained from the rim to the hub.  The wall around A alone costs
+    1 + 7; flipping A, B and I1..I5 costs 2 + 3 (A-Z, B-C, I5-hub)."""
+    points = [(10 * math.cos(math.pi * i / 6), 10 * math.sin(math.pi * i / 6)) for i in range(12)]
+    chain = [12 + i for i in range(5)]
+    points += [(r * math.cos(math.pi / 12), r * math.sin(math.pi / 12)) for r in (9, 7.5, 6, 4.5, 3)]
+    hub = len(points)
+    points.append((0.0, 0.0))
+    edges = [(i, (i + 1) % 12) for i in range(12)]
+    for i, tile in enumerate(chain):
+        edges += [(tile, 0), (tile, 1), (tile, chain[i + 1] if i < 4 else hub)]
+    edges += [(hub, v) for v in range(2, 12)]
+    return drawn_graph(points, edges, [(v, 1) for v in range(12)])
+
+
+def assert_sweep_matches(g, oracle):
+    """Every row of both modes' sweeps equals the oracle's (bdryC, bulkC,
+    minC), except per-leg rows that are their own hull and whose cut is
+    the global flip N: they keep the wall k + geodesic, so only
+    min(minC, N) is compared."""
+    n = g.n_legs
+    aligned = aligned_positions(g)
+    for mode in ("per-leg", "per-vertex"):
+        rows = cut_sweep(g, mode)
+        assert len(rows) == n * (n - 1) + 1
+        want_by_key = oracle(g, mode, [(r["start"], r["k"]) for r in rows if r["k"]])
+        for row in rows[1:]:
+            got = (row["bdryC"], row["bulkC"], row["minC"])
+            want = want_by_key[(row["start"], row["k"])]
+            own_hull = row["start"] in aligned and (row["start"] + row["k"]) % n in aligned
+            if mode == "per-leg" and own_hull and row["minC"] >= n:
+                assert min(row["minC"], n) == want[2], (mode, row, want)
+            else:
+                assert got == want, (mode, row, want)
+
+
+def package_oracle(g, mode, intervals):
+    n = g.n_legs
+    out = {}
+    for start, k in intervals:
+        cut = min_cut_exact(g, pinned_for_interval(g, SupportMask.interval(n, start, k)), mode)
+        out[(start, k)] = (cut.bdry_cost, cut.bulk_cost, cut.min_cost)
+    return out
 
 
 class TestMinCutExact:
@@ -128,44 +178,71 @@ class TestPlrLargeD:
             r = plr_large_d(g, SupportMask.interval(n, start, k), 64, "per-leg")
             assert r.log_d_norm >= k
 
+    def test_noncontiguous_support_takes_max_flow(self, graphs37):
+        g = graphs37[3]
+        support = SupportMask(g.n_legs, frozenset({0, 1, 7, 20, 21, 22}))
+        for mode in ("per-leg", "per-vertex"):
+            cut = min_cut_exact(g, pinned_for_interval(g, support), mode)
+            assert plr_large_d(g, support, 3, mode).log_d_norm == cut.min_cost
+
+    def test_mixed_cut_on_hub_graph(self):
+        # the cheapest region flips a rim tile outside the interval's hull
+        g = hub_graph()
+        for mode in ("per-leg", "per-vertex"):
+            assert plr_large_d(g, SupportMask.interval(12, 0, 1), 2, mode).log_d_norm == 5
+
 
 class TestCutSweep:
     def test_zero_row_and_ordering(self, two_tile):
-        rows = cut_sweep(two_tile, "per-vertex", oracle="maxflow", workers=1)
+        rows = cut_sweep(two_tile, "per-vertex")
         assert rows[0] == {"start": 0, "k": 0, "bdryC": 0, "bulkC": 0, "minC": 0}
         keys = [(r["k"], r["start"]) for r in rows]
         assert keys == sorted(keys)
 
     def test_value_identity_small_graphs(self, graphs37, graphs54):
-        # the optimizer's minimum is min(k + geodesic, total boundary cost):
-        # the wall solution when strictly cheaper, else the global flip
+        # the package's own max-flow minimum is min(k + geodesic, total
+        # boundary cost): the wall solution when strictly cheaper, else the
+        # global flip
         for g, aligned in ((graphs37[2], False), (graphs54[2], True)):
             n = g.n_legs
-            rows = cut_sweep(g, "per-leg", vertex_aligned_only=aligned, oracle="both", workers=1)
-            for row in rows:
-                if not row["k"] or "bulkC_bfs" not in row:
+            for row in cut_sweep(g, "per-leg", vertex_aligned_only=aligned):
+                if not row["k"]:
                     continue
-                wall = row["k"] + row["bulkC_bfs"]
-                assert row["minC"] == min(wall, n)
+                iv = SupportMask.interval(n, row["start"], row["k"])
+                cut = min_cut_exact(g, pinned_for_interval(g, iv), "per-leg")
+                wall = row["minC"]
+                assert row["bdryC"] == row["k"]
+                assert cut.min_cost == min(wall, n)
                 if wall < n:
-                    assert (row["bdryC"], row["bulkC"]) == (row["k"], row["bulkC_bfs"])
+                    assert (cut.bdry_cost, cut.bulk_cost) == (row["bdryC"], row["bulkC"])
                 elif wall > n:
-                    assert (row["bdryC"], row["bulkC"]) == (n, 0)
+                    assert (cut.bdry_cost, cut.bulk_cost) == (n, 0)
 
-    def test_auto_oracle_matches_maxflow_below_half(self, graphs37):
-        g = graphs37[2]
-        auto = {(r["start"], r["k"]): r for r in cut_sweep(g, "per-leg", workers=1)}
-        flow = {(r["start"], r["k"]): r for r in cut_sweep(g, "per-leg", oracle="maxflow", workers=1)}
-        for key, row in auto.items():
-            if 0 < row["k"] <= g.n_legs // 2:
-                assert row["minC"] == flow[key]["minC"]
-                assert row["bulkC"] == flow[key]["bulkC"]
+    def test_auto_oracle_matches_maxflow_below_half(self, graphs37, graphs54):
+        # every interval of both modes against scipy's max-flow
+        for g in (graphs37[3], graphs54[3]):
+            assert_sweep_matches(g, oracle_sweep)
+
+    def test_hub_graph_matches_package_maxflow(self):
+        g = hub_graph()
+        assert_sweep_matches(g, package_oracle)
+        for mode in ("per-leg", "per-vertex"):
+            row = next(r for r in cut_sweep(g, mode) if (r["start"], r["k"]) == (0, 1))
+            assert (row["bdryC"], row["bulkC"], row["minC"]) == (2, 3, 5)
+
+    def test_random_planar_graphs_match_maxflow(self):
+        # Delaunay graphs with edges deleted: many cheapest regions here
+        # mix a bulk wall with rim tiles outside the hull
+        rng = np.random.default_rng(20240)
+        for _ in range(40):
+            g = random_planar_graph(rng, int(rng.integers(8, 30)), float(rng.random()) / 2)
+            assert_sweep_matches(g, oracle_sweep)
 
     def test_monotone_bounded_increments(self, graphs37):
         # extending an interval by one leg can add at most that tile's legs
         # plus the wall edges needed to enclose it
         g = graphs37[3]
-        rows = {(r["start"], r["k"]): r["minC"] for r in cut_sweep(g, "per-leg", workers=1)}
+        rows = {(r["start"], r["k"]): r["minC"] for r in cut_sweep(g, "per-leg")}
         degree = [0] * g.n_vertices
         for u, v in g.edges:
             degree[u] += 1
@@ -181,13 +258,13 @@ class TestCutSweep:
                 assert rows[(start, k + 1)] <= rows[(start, k)] + step_cap
 
     def test_per_vertex_sweep_runs(self, two_tile):
-        rows = cut_sweep(two_tile, "per-vertex", workers=1)
+        rows = cut_sweep(two_tile, "per-vertex")
         by_key = {(r["start"], r["k"]): r for r in rows}
         assert by_key[(2, 2)]["minC"] == 2
 
     def test_unrestricted_54_partial_intervals_use_optimizer(self, graphs54):
         g = graphs54[2]
-        rows = cut_sweep(g, "per-leg", oracle="auto", workers=1)
+        rows = cut_sweep(g, "per-leg")
         n = g.n_legs
         aligned = aligned_positions(g)
         by_key = {(r["start"], r["k"]): r for r in rows}
@@ -197,22 +274,3 @@ class TestCutSweep:
         row = by_key[(start, 1)]
         assert row["bdryC"] >= len(g.boundary_legs[g.leg_owner(start)])
         assert row["minC"] >= row["k"]
-
-    def test_workers_do_not_change_results(self, graphs37):
-        # layers=4 is big enough to engage the process pool
-        g = graphs37[4]
-        serial = cut_sweep(g, "per-leg", oracle="maxflow", workers=1)
-        parallel = cut_sweep(g, "per-leg", oracle="maxflow", workers=2)
-        assert serial == parallel
-
-
-class TestWorkerResolution:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("HOLOSHADOW_THREADS", "3")
-        assert resolve_workers(8) == 3
-
-    def test_request_honored(self, monkeypatch):
-        monkeypatch.delenv("HOLOSHADOW_THREADS", raising=False)
-        assert resolve_workers(5) == 5
-        assert resolve_workers() >= 1
-        assert resolve_workers() <= max(1, min(os.cpu_count() or 1, 8))

@@ -198,6 +198,25 @@ class TestDualGraph:
         with pytest.raises(ValueError):
             dual_graph(TilingGraph.from_json_dict(data))
 
+    def test_rejects_non_planar_rotation(self):
+        # swapping two edges in one tile's rotation keeps every entry but
+        # changes the faces: the embedding is no longer planar
+        g = hs.generate_tiling(5, 4, 3)
+        data = g.to_json_dict()
+        rot = data["rotation"][0]
+        rot[0], rot[2] = rot[2], rot[0]
+        with pytest.raises(ValueError, match="planar"):
+            dual_graph(TilingGraph.from_json_dict(data))
+
+    def test_rejects_rotation_disagreeing_with_legs(self):
+        g = hs.generate_tiling(3, 7, 2)
+        data = g.to_json_dict()
+        v = next(i for i, rot in enumerate(data["rotation"]) if ["leg", 0] in rot)
+        data["rotation"][v].remove(["leg", 0])
+        data["rotation"][(v + 1) % len(data["rotation"])].append(["leg", 0])
+        with pytest.raises(ValueError, match="each leg at its tile"):
+            TilingGraph.from_json_dict(data)
+
 
 class TestBoundaryIntervals:
     def test_unrestricted_count(self):
