@@ -56,7 +56,6 @@ class GeometryParams:
 def fit_ceff(
     points: Sequence[tuple[float, float]],
     n_boundary: int,
-    d: int | None = None,
     intercept: bool = False,
 ) -> FitResult:
     """Least-squares c_eff from (k, log_d norm) sweep points.
@@ -66,7 +65,6 @@ def fit_ceff(
     single-parameter fit through the origin; ``intercept=True`` adds a
     diagnostic offset that is not part of any reported number.
     """
-    del d  # recorded by callers; the cut-unit fit itself is d-independent
     xs: list[float] = []
     ys: list[float] = []
     for k, log_d_norm in points:

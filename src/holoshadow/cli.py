@@ -250,7 +250,7 @@ def _cmd_fit_ceff(args: argparse.Namespace) -> int:
             continue
         parts = line.split(",")
         points.append((int(parts[cols[0]]), float(parts[cols[1]])))
-    fit = analysis.fit_ceff(points, args.n, args.d)
+    fit = analysis.fit_ceff(points, args.n)
     payload = {
         "c_eff": fit.c_eff,
         "stderr": fit.stderr,
@@ -276,8 +276,15 @@ def _cmd_geom_ceff(args: argparse.Namespace) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """No abbreviated options, so --d is never taken for --digits; subcommand parsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="holoshadow",
         description="Sample complexity of hierarchical classical-shadow schemes",
     )
@@ -330,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cut_sub = cut_cmd.add_subparsers(dest="subcommand", required=True)
     p = cut_sub.add_parser("sweep", help="sweep all contiguous intervals")
     p.add_argument("--graph", required=True)
-    p.add_argument("--mode", choices=cuts.MODES, default="per-leg")
+    p.add_argument("--mode", choices=tiling.MODES, default="per-leg")
     p.add_argument("--vertex-aligned", action="store_true", dest="vertex_aligned")
     common(p)
     p.set_defaults(func=_cmd_cut_sweep)
@@ -345,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", required=True)
         p.add_argument("--d", type=_parse_d, required=True, help="bond dimension, or 'inf'")
         p.add_argument("--support", required=True, help="START:LEN over boundary legs")
-        p.add_argument("--mode", choices=("per-vertex", "per-leg"), default="per-vertex")
+        p.add_argument("--mode", choices=tiling.MODES, default="per-vertex")
         common(p)
         p.set_defaults(func=func)
 
@@ -354,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = fit_sub.add_parser("ceff", help="effective central charge from a sweep CSV")
     p.add_argument("--csv", required=True)
     p.add_argument("--N", type=int, required=True, dest="n", help="boundary size")
-    p.add_argument("--d", type=int, default=None)
     common(p)
     p.set_defaults(func=_cmd_fit_ceff)
 

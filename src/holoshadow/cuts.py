@@ -17,8 +17,9 @@ field, and both sit in the outer region on either side of the rim.  By
 planar duality (Itai & Shiloach 1979; Hassin 1981) that cut is the
 shortest path from gap a to gap b in the dual (``dual_graph``, whose
 planarity it checks) with one extra arc per leg outside the hull between
-the two gaps next to it, weighted by that leg's share of its tile's
-boundary field.  So
+the two gaps next to it.  A tile's arcs carry its boundary field between
+them; all of it sits on the arc of its first leg, since the tile's links
+to t are parallel: a cut severs all of them or none.  So
 
     minC = c + dist(a, b),
 
@@ -34,6 +35,10 @@ min(c + geodesic, total) there; other graphs may mix the two.
 edges, per-tile or per-leg capacities from boundary tiles to the sink) --
 stays as the independent oracle, and prices pinned sets that are not
 intervals.
+
+The rim data come from the graph, derived once when it is validated:
+``TilingGraph.owners``, ``TilingGraph.aligned`` and
+``TilingGraph.boundary_cost(mode)``, the one place a mode is checked.
 """
 
 from __future__ import annotations
@@ -45,8 +50,6 @@ from typing import Iterable
 
 from .core import PlrResult, SupportMask
 from .tiling import DualGraph, TilingGraph, dual_graph
-
-MODES = ("per-vertex", "per-leg")
 
 
 @dataclass(frozen=True)
@@ -69,122 +72,105 @@ def pinned_for_interval(g: TilingGraph, interval: SupportMask) -> frozenset:
     """Tiles owning at least one leg of the interval."""
     if interval.n != g.n_legs:
         raise ValueError(f"interval over {interval.n} legs, graph has {g.n_legs}")
-    return frozenset(g.leg_owner(j) for j in interval.sites)
-
-
-class _FlowNet:
-    """Max-flow network of one graph with the pinned tiles tied to the source."""
-
-    def __init__(self, g: TilingGraph, mode: str, pinned: frozenset):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        self.mode = mode
-        self.graph = g
-        n = g.n_vertices
-        self.n = n + 2
-        self.source = n
-        self.sink = n + 1
-        self.adj: list[list[int]] = [[] for _ in range(self.n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-        def push_arc(u: int, v: int, cap_uv: int, cap_vu: int) -> None:
-            self.adj[u].append(len(self.to))
-            self.to.append(v)
-            self.cap.append(cap_uv)
-            self.adj[v].append(len(self.to))
-            self.to.append(u)
-            self.cap.append(cap_vu)
-
-        for u, v in g.edges:
-            push_arc(u, v, 1, 1)
-        self.sink_cap: dict[int, int] = {}
-        for v in range(n):
-            legs = len(g.boundary_legs[v])
-            if legs:
-                self.sink_cap[v] = legs if mode == "per-leg" else 1
-                push_arc(v, self.sink, self.sink_cap[v], 0)
-        inf = sum(self.sink_cap.values()) + len(g.edges) + 1
-        for v in pinned:
-            if v not in self.sink_cap:
-                raise ValueError(f"pinned vertex {v} owns no boundary legs")
-            push_arc(self.source, v, inf, 0)
-
-    def min_cut(self) -> CutResult:
-        """Dinic phases until the sink is unreachable; the final BFS's
-        visited set is then the residual-reachable source side of a
-        minimum cut, which gives the decomposition and the witness."""
-        n, to, adj, cap = self.n, self.to, self.adj, self.cap
-        source, sink = self.source, self.sink
-        flow = 0
-        while True:
-            level = [-1] * n
-            level[source] = 0
-            queue = [source]
-            for u in queue:
-                lu = level[u]
-                for a in adj[u]:
-                    w = to[a]
-                    if cap[a] > 0 and level[w] < 0:
-                        level[w] = lu + 1
-                        queue.append(w)
-            if level[sink] < 0:
-                break
-            it = [0] * n
-            while True:
-                stack = [source]
-                path: list[int] = []
-                found = False
-                while stack:
-                    u = stack[-1]
-                    if u == sink:
-                        found = True
-                        break
-                    moved = False
-                    arcs = adj[u]
-                    i = it[u]
-                    while i < len(arcs):
-                        a = arcs[i]
-                        w = to[a]
-                        if cap[a] > 0 and level[w] == level[u] + 1:
-                            stack.append(w)
-                            path.append(a)
-                            moved = True
-                            break
-                        i += 1
-                    it[u] = i
-                    if not moved:
-                        level[u] = -1
-                        stack.pop()
-                        if path:
-                            path.pop()
-                            it[stack[-1]] += 1
-                if not found:
-                    break
-                push = min(cap[a] for a in path)
-                for a in path:
-                    cap[a] -= push
-                    cap[a ^ 1] += push
-                flow += push
-        reach = [lv >= 0 for lv in level]
-        bdry = sum(c for v, c in self.sink_cap.items() if reach[v])
-        bulk = sum(1 for u, v in self.graph.edges if reach[u] != reach[v])
-        if bdry + bulk != flow:
-            raise RuntimeError(f"cut decomposition {bdry}+{bulk} != flow {flow}")
-        witness = frozenset(v for v in range(self.graph.n_vertices) if reach[v])
-        return CutResult(bdry_cost=bdry, bulk_cost=bulk, min_cost=flow, mode=self.mode, witness=witness)
+    return frozenset(map(g.owners.__getitem__, interval.sites))
 
 
 def min_cut_exact(g: TilingGraph, pinned_vertices: Iterable[int], mode: str = "per-vertex") -> CutResult:
     """Minimum of boundary-flip cost plus domain-wall length over all spin
     configurations with the given tiles pinned down.
 
-    The result carries the flipped-tile set of one optimal configuration
-    as a debugging witness.
+    Max-flow by Dinic phases: the pinned tiles hang off the source at
+    infinite capacity, bulk edges carry one unit each way, and every
+    boundary tile drains to the sink at its boundary cost.  Once the sink
+    is unreachable, the final BFS's visited set is the residual-reachable
+    source side of a minimum cut, which gives the decomposition and the
+    flipped-tile witness.
     """
     if g.n_vertices == 0:
         raise ValueError("empty graph")
-    return _FlowNet(g, mode, frozenset(pinned_vertices)).min_cut()
+    cost = g.boundary_cost(mode)
+    n = g.n_vertices + 2
+    source, sink = n - 2, n - 1
+    adj: list[list[int]] = [[] for _ in range(n)]
+    to: list[int] = []
+    cap: list[int] = []
+
+    def push_arc(u: int, v: int, cap_uv: int, cap_vu: int) -> None:
+        adj[u].append(len(to))
+        to.append(v)
+        cap.append(cap_uv)
+        adj[v].append(len(to))
+        to.append(u)
+        cap.append(cap_vu)
+
+    for u, v in g.edges:
+        push_arc(u, v, 1, 1)
+    for v, c in enumerate(cost):
+        if c:
+            push_arc(v, sink, c, 0)
+    inf = sum(cost) + len(g.edges) + 1
+    for v in frozenset(pinned_vertices):
+        if not (0 <= v < g.n_vertices and cost[v]):
+            raise ValueError(f"pinned vertex {v} owns no boundary legs")
+        push_arc(source, v, inf, 0)
+
+    flow = 0
+    while True:
+        level = [-1] * n
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            lu = level[u]
+            for a in adj[u]:
+                w = to[a]
+                if cap[a] > 0 and level[w] < 0:
+                    level[w] = lu + 1
+                    queue.append(w)
+        if level[sink] < 0:
+            break
+        it = [0] * n
+        while True:
+            stack = [source]
+            path: list[int] = []
+            found = False
+            while stack:
+                u = stack[-1]
+                if u == sink:
+                    found = True
+                    break
+                moved = False
+                arcs = adj[u]
+                i = it[u]
+                while i < len(arcs):
+                    a = arcs[i]
+                    w = to[a]
+                    if cap[a] > 0 and level[w] == level[u] + 1:
+                        stack.append(w)
+                        path.append(a)
+                        moved = True
+                        break
+                    i += 1
+                it[u] = i
+                if not moved:
+                    level[u] = -1
+                    stack.pop()
+                    if path:
+                        path.pop()
+                        it[stack[-1]] += 1
+            if not found:
+                break
+            push = min(cap[a] for a in path)
+            for a in path:
+                cap[a] -= push
+                cap[a ^ 1] += push
+            flow += push
+    reach = [lv >= 0 for lv in level]
+    bdry = sum(c for v, c in enumerate(cost) if reach[v])
+    bulk = sum(1 for u, v in g.edges if reach[u] != reach[v])
+    if bdry + bulk != flow:
+        raise RuntimeError(f"cut decomposition {bdry}+{bulk} != flow {flow}")
+    witness = frozenset(v for v in range(g.n_vertices) if reach[v])
+    return CutResult(bdry_cost=bdry, bulk_cost=bulk, min_cost=flow, mode=mode, witness=witness)
 
 
 def bulk_geodesic(g: TilingGraph, dual: DualGraph, interval: SupportMask) -> int:
@@ -208,20 +194,13 @@ def bulk_geodesic(g: TilingGraph, dual: DualGraph, interval: SupportMask) -> int
     return int(dist)
 
 
-def aligned_positions(g: TilingGraph) -> set[int]:
-    """Boundary positions falling between legs of two different tiles."""
-    n = g.n_legs
-    owner = [g.leg_owner(j) for j in range(n)]
-    return {j for j in range(n) if owner[(j - 1) % n] != owner[j]}
-
-
 class _HullCuts:
     """Aligned-hull cuts of one graph in one mode, O(1) per interval.
 
-    Holds prefix sums of boundary cost per leg (a tile's cost sits on its
-    first leg in per-vertex mode, which is also the weight of the rim arc
-    crossing that leg), each position's distance to the hull ends around
-    it, and, per hull start, the dual distances to every hull end.
+    Holds prefix sums of boundary cost per leg (each tile's cost sits on
+    its first leg, which is also the weight of the rim arc crossing that
+    leg), each position's distance to the hull ends around it, and, per
+    hull start, the dual distances to every hull end.
 
     A distance is stored as units * scale + rim, where units counts cut
     units and rim the boundary cost of the rim arcs on the path.  Among
@@ -231,22 +210,18 @@ class _HullCuts:
     """
 
     def __init__(self, g: TilingGraph, mode: str):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        n = g.n_legs
-        aligned = self.aligned = aligned_positions(g)
-        per_leg = self.per_leg = mode == "per-leg"
-        self.n = n
-        self.total = sum(len(legs) if per_leg else 1 for legs in g.boundary_legs if legs)
+        cost, owner, aligned = g.boundary_cost(mode), g.owners, g.aligned
+        n = self.n = g.n_legs
+        self.per_leg = mode == "per-leg"
+        self.total = sum(cost)
         self.scale = self.total + 1
-        self.leg_cost = [1 if per_leg or j in aligned else 0 for j in range(n)]
+        self.leg_cost = [cost[owner[j]] if j in aligned else 0 for j in range(n)]
         self.prefix = [0]
         for j in range(2 * n):
             self.prefix.append(self.prefix[-1] + self.leg_cost[j % n])
         # back[j] / ahead[j]: legs from the aligned position that starts the
         # run of leg j's tile / that ends the run of leg j-1's tile (n when
         # one tile owns the whole rim, so every hull is the whole rim)
-        owner = [g.leg_owner(j) for j in range(n)]
         first = {owner[j]: j for j in aligned}
         after = {owner[j - 1]: j for j in aligned}
         self.back = [(j - first[owner[j]]) % n for j in range(n)] if aligned else [n] * n
@@ -357,7 +332,7 @@ def cut_sweep(
     if oracle not in ("auto", "maxflow"):
         raise ValueError(f"unknown oracle {oracle!r}")
     hull = _HullCuts(g, mode)
-    n, aligned = g.n_legs, hull.aligned
+    n, aligned = g.n_legs, g.aligned
     solved: dict[frozenset, CutResult] = {}
     rows: list[dict] = [{"start": 0, "k": 0, "bdryC": 0, "bulkC": 0, "minC": 0}]
     for k in range(1, n):
@@ -367,7 +342,7 @@ def cut_sweep(
             if oracle == "auto":
                 bdry, bulk, min_cost = hull.cut(start, k, clamp_aligned=False)
             else:
-                pinned = frozenset(g.leg_owner((start + i) % n) for i in range(k))
+                pinned = pinned_for_interval(g, SupportMask.interval(n, start, k))
                 if pinned not in solved:
                     solved[pinned] = min_cut_exact(g, pinned, mode)
                 cut = solved[pinned]

@@ -49,8 +49,6 @@ class SpinModel:
     energy_offset: float = 0.0  # pure gauge; must drop out of all ratios
 
     def __post_init__(self) -> None:
-        if self.boundary_field_mode not in ("per-vertex", "per-leg"):
-            raise ValueError(f"unknown boundary field mode {self.boundary_field_mode!r}")
         if self.graph.n_vertices > MAX_VERTICES:
             raise ValueError(
                 f"exhaustive enumeration capped at {MAX_VERTICES} vertices, "
@@ -58,11 +56,7 @@ class SpinModel:
             )
 
     def field(self, v: int) -> float:
-        legs = len(self.graph.boundary_legs[v])
-        if not legs:
-            return 0.0
-        h = self.params.h
-        return legs * h if self.boundary_field_mode == "per-leg" else h
+        return self.graph.boundary_cost(self.boundary_field_mode)[v] * self.params.h
 
     def boundary_vertices(self) -> list[int]:
         return [v for v in range(self.graph.n_vertices) if self.graph.boundary_legs[v]]
@@ -207,10 +201,11 @@ def optimality_check(model: SpinModel, region_legs: SupportMask) -> bool:
     for sub in subsets_of(region_legs.sites):
         if not sub:
             continue
-        pinned = frozenset(model.graph.leg_owner(j) for j in sub)
+        support = SupportMask(region_legs.n, sub)
+        pinned = pinned_for_interval(model.graph, support)
         if pinned in seen:
             continue
         seen.add(pinned)
-        w = plr_exact(model, SupportMask(region_legs.n, sub)).w
+        w = plr_exact(model, support).w
         best = min(best, w)
     return best <= bound

@@ -28,34 +28,63 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from pathlib import Path
-
-from .core import SupportMask
 
 #: refuse to generate patches with more boundary legs than this
 MAX_BOUNDARY = 500_000
 
 
-@dataclass
+#: boundary-cost modes: a flipped boundary tile costs 1, or one per leg it owns
+MODES = ("per-vertex", "per-leg")
+
+
+@dataclass(frozen=True)
 class TilingGraph:
-    """Planar tensor-network graph of a {p,q} tiling patch."""
+    """Planar tensor-network graph of a {p,q} tiling patch.
+
+    Immutable, and validated once, on construction.  The same pass derives
+    the rim data every solver reads: the tile owning each leg, the aligned
+    positions, and the per-tile boundary cost of each mode.
+    """
 
     p: int
     q: int
     layers: int
-    vertex_layers: list[int]
-    boundary_legs: list[list[int]]  # per vertex, ascending leg ids
-    edges: list[tuple[int, int]]
-    boundary_order: list[tuple[int, int]]  # (leg, owner vertex), cyclic
-    rotation: list[list[tuple[str, int]]] | None = None
+    vertex_layers: tuple[int, ...]
+    boundary_legs: tuple[tuple[int, ...], ...]  # per vertex, ascending leg ids
+    edges: tuple[tuple[int, int], ...]
+    boundary_order: tuple[tuple[int, int], ...]  # (leg, owner vertex), cyclic
+    rotation: tuple[tuple[tuple[str, int], ...], ...] | None = None
     # generator-internal metadata (not serialized); used by test oracles
     meta: dict | None = field(default=None, repr=False, compare=False)
+    #: owners[j] is the tile owning leg j
+    owners: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: rim positions j whose legs j-1 and j belong to different tiles
+    aligned: frozenset[int] = field(init=False, repr=False, compare=False)
+    _costs: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        """Reject graphs the solvers cannot trust: bad edge endpoints, a rim
-        order or rotation that disagrees with the tiles' edges and legs, or
-        a tile whose legs are not one contiguous run of the rim (the cut
-        solvers' hull route relies on this)."""
+        """Reject graphs the solvers cannot trust: ids that are not integers,
+        bad edge endpoints, leg ids other than 0..N-1, a rim order or
+        rotation that disagrees with the tiles' edges and legs, or a tile
+        whose legs are not one contiguous run of the rim (the cut solvers'
+        hull route relies on this)."""
+        freeze = partial(object.__setattr__, self)
+        freeze("vertex_layers", tuple(self.vertex_layers))
+        freeze("boundary_legs", tuple(map(tuple, self.boundary_legs)))
+        freeze("edges", tuple(map(tuple, self.edges)))
+        freeze("boundary_order", tuple(map(tuple, self.boundary_order)))
+        if self.rotation is not None:
+            freeze("rotation", tuple(tuple(map(tuple, rot)) for rot in self.rotation))
+        ids = [self.p, self.q, self.layers, *self.vertex_layers]
+        for group in (self.boundary_legs, self.edges, self.boundary_order):
+            ids.extend(chain.from_iterable(group))
+        ids.extend(ref for rot in self.rotation or () for _, ref in rot)
+        if set(map(type, ids)) != {int}:
+            bad = next(value for value in ids if type(value) is not int)
+            raise ValueError(f"graph sizes and ids must be integers, got {bad!r}")
         n = self.n_vertices
         if len(self.boundary_legs) != n:
             raise ValueError(f"{len(self.boundary_legs)} boundary-leg lists for {n} vertices")
@@ -67,25 +96,36 @@ class TilingGraph:
                 raise ValueError(f"edge ({u},{v}) has an endpoint outside vertices 0..{n - 1}")
             if u == v:
                 raise ValueError(f"edge ({u},{v}) is a self-loop")
-            if (min(u, v), max(u, v)) in pairs:
+            pair = (u, v) if u < v else (v, u)
+            if pair in pairs:
                 raise ValueError(f"edge ({u},{v}) is listed twice")
-            pairs.add((min(u, v), max(u, v)))
+            pairs.add(pair)
         claimed = sorted((leg, v) for v, legs in enumerate(self.boundary_legs) for leg in legs)
-        if claimed != [(leg, v) for leg, v in self.boundary_order]:
+        if claimed != list(self.boundary_order) or any(leg != j for j, (leg, _) in enumerate(claimed)):
             raise ValueError(
                 "boundary_order must list legs 0..N-1 in rim order, each with the vertex "
                 "whose boundary_legs hold it"
             )
         if self.rotation is not None:
-            listed = sorted((kind, v, ref) for v, rot in enumerate(self.rotation) for kind, ref in rot)
-            darts = [("edge", u, v) for u, v in self.edges] + [("edge", v, u) for u, v in self.edges]
-            if listed != sorted(darts + [("leg", v, leg) for leg, v in self.boundary_order]):
+            # the expected darts are distinct, so equal sets of equal size
+            # mean each is listed exactly once
+            listed = [(kind, v, ref) for v, rot in enumerate(self.rotation) for kind, ref in rot]
+            darts = {("edge", u, v) for u, v in self.edges} | {("edge", v, u) for u, v in self.edges}
+            darts.update(("leg", v, leg) for leg, v in self.boundary_order)
+            if len(listed) != len(darts) or set(listed) != darts:
                 raise ValueError("rotation must list each edge once at each end and each leg at its tile")
-        owner = [v for _, v in self.boundary_order]
-        run_starts = [owner[j] for j in range(len(owner)) if owner[j - 1] != owner[j]]
+        owners = tuple(v for _, v in self.boundary_order)
+        aligned = frozenset(j for j in range(len(owners)) if owners[j - 1] != owners[j])
+        run_starts = [owners[j] for j in sorted(aligned)]
         if len(run_starts) != len(set(run_starts)):
             split = next(v for v in run_starts if run_starts.count(v) > 1)
             raise ValueError(f"the legs of vertex {split} are not one contiguous run of the rim")
+        freeze("owners", owners)
+        freeze("aligned", aligned)
+        freeze("_costs", {
+            "per-vertex": tuple(1 if legs else 0 for legs in self.boundary_legs),
+            "per-leg": tuple(map(len, self.boundary_legs)),
+        })
 
     @property
     def n_vertices(self) -> int:
@@ -95,8 +135,12 @@ class TilingGraph:
     def n_legs(self) -> int:
         return len(self.boundary_order)
 
-    def leg_owner(self, leg: int) -> int:
-        return self.boundary_order[leg][1]
+    def boundary_cost(self, mode: str) -> tuple[int, ...]:
+        """Per-tile cost of flipping a boundary tile in a mode: its leg count
+        ("per-leg") or 1 ("per-vertex"); 0 for a tile without legs."""
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        return self._costs[mode]
 
     def to_json_dict(self) -> dict:
         out = {
@@ -129,13 +173,13 @@ class TilingGraph:
                 raise ValueError("vertex ids must be 0..n-1")
             rotation = None
             if "rotation" in data:
-                rotation = [[(kind, ref) for kind, ref in rot] for rot in data["rotation"]]
+                rotation = [tuple((kind, ref) for kind, ref in rot) for rot in data["rotation"]]
             return cls(
                 p=data["p"],
                 q=data["q"],
                 layers=data["layers"],
                 vertex_layers=[v["layer"] for v in vertices],
-                boundary_legs=[list(v["boundary_legs"]) for v in vertices],
+                boundary_legs=[tuple(v["boundary_legs"]) for v in vertices],
                 edges=[(u, v) for u, v in data["edges"]],
                 boundary_order=[(b["leg"], b["vertex"]) for b in data["boundary_order"]],
                 rotation=rotation,
@@ -511,9 +555,9 @@ def dual_graph(g: TilingGraph) -> DualGraph:
 
     # split the outer orbit into gaps at each leg dart
     outer = outer_orbits[0]
+    # every leg dart lies on it: the rotation lists each leg once (load
+    # time) and no other region bears a leg
     leg_positions = [i for i, (v, s) in enumerate(outer) if rotation[v][s][0] == "leg"]
-    if len(leg_positions) != n_legs:
-        raise ValueError("outer region does not visit every boundary leg exactly once")
     gap_index: dict[int, int] = {}
     size = len(outer)
     for idx, start in enumerate(leg_positions):
@@ -539,36 +583,6 @@ def dual_graph(g: TilingGraph) -> DualGraph:
     for e, (u, v) in enumerate(g.edges):
         su = entry_slot[("edge", u, v)]
         sv = entry_slot[("edge", v, u)]
-        ra = dart_region.get((u, su))
-        rb = dart_region.get((v, sv))
-        if ra is None or rb is None:
-            raise ValueError(f"edge ({u},{v}) dart not assigned to any region")
-        arcs.append((ra, rb, e))
+        arcs.append((dart_region[(u, su)], dart_region[(v, sv)], e))
 
     return DualGraph(n_nodes=nodes, arcs=arcs, gap_index=gap_index, interior_nodes=interior_nodes)
-
-
-# ---------------------------------------------------------------------------
-# boundary intervals
-
-
-def boundary_intervals(g: TilingGraph, vertex_aligned_only: bool = False) -> list[SupportMask]:
-    """All contiguous cyclic leg intervals with 0 <= k < N (full ring excluded).
-
-    With ``vertex_aligned_only`` keep only intervals whose two endpoints
-    fall between legs owned by different tiles, so every touched tile has
-    all of its legs inside the interval.
-    """
-    n = g.n_legs
-    owner = [g.leg_owner(j) for j in range(n)]
-
-    def aligned(position: int) -> bool:
-        return owner[(position - 1) % n] != owner[position % n]
-
-    out = [SupportMask.empty(n)]
-    for k in range(1, n):
-        for start in range(n):
-            if vertex_aligned_only and not (aligned(start) and aligned(start + k)):
-                continue
-            out.append(SupportMask.interval(n, start, k))
-    return out

@@ -82,7 +82,7 @@ def oracle_sweep(g, mode, intervals):
     interval pins; intervals pinning the same tiles share one solve."""
     n = g.n_legs
     pinned = {
-        (start, k): frozenset(g.leg_owner((start + i) % n) for i in range(k)) for start, k in intervals
+        (start, k): frozenset(g.owners[(start + i) % n] for i in range(k)) for start, k in intervals
     }
     distinct = sorted(set(pinned.values()), key=sorted)
     solved = dict(zip(distinct, maxflow_cuts(g, mode, distinct)))

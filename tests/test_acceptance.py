@@ -16,7 +16,6 @@ from holoshadow.analysis import ceff_approx, fit_ceff
 from holoshadow.cli import run
 from holoshadow.core import ModelParams, SupportMask, plr_from_ef
 from holoshadow.cuts import (
-    aligned_positions,
     bulk_geodesic,
     cut_sweep,
     min_cut_exact,
@@ -184,7 +183,7 @@ def test_criterion_07_half_boundary_cuts(graphs37, graphs54):
         g = graphs54[l + 1]
         dual = dual_graph(g)
         n = g.n_legs
-        aligned = aligned_positions(g)
+        aligned = g.aligned
         vals = set()
         for k in {n // 2, (n + 1) // 2}:
             for s in range(n):

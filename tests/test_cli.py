@@ -1,9 +1,13 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holoshadow as hs
 from holoshadow.cli import run
@@ -174,6 +178,7 @@ class TestErrors:
         assert run([]) == 2
         assert run(["cut", "sweep", "--graph", "g.json", "--workers", "2"]) == 2
         assert run(["cut", "sweep", "--graph", "g.json", "--oracle", "maxflow"]) == 2
+        assert run(["fit", "ceff", "--csv", "s.csv", "--N", "12", "--d", "2"]) == 2
 
     def test_computation_error_is_1(self, tmp_path, capsys):
         out = tmp_path / "x.json"
@@ -213,6 +218,22 @@ def _give_leg_0_to_leg_1s_owner(data):
     order[0]["vertex"] = order[1]["vertex"]
 
 
+def _shift_leg_ids(data):
+    for vertex in data["vertices"]:
+        vertex["boundary_legs"] = [leg + 7 for leg in vertex["boundary_legs"]]
+    for entry in data["boundary_order"]:
+        entry["leg"] += 7
+    for rot in data["rotation"]:
+        for entry in rot:
+            if entry[0] == "leg":
+                entry[1] += 7
+
+
+def _float_rotation_ref(data):
+    entry = next(entry for entry in data["rotation"][0] if entry[0] == "edge")
+    entry[1] = float(entry[1])  # equal to the tile id, but not an integer
+
+
 # corrupted field -> (tiling, corruption, error message fragment)
 CORRUPTIONS = {
     "missing_key": ((3, 7), lambda data: data.pop("edges"), "missing the key 'edges'"),
@@ -220,6 +241,8 @@ CORRUPTIONS = {
     "self_loop": ((3, 7), lambda data: data["edges"].append([1, 1]), "self-loop"),
     "owner": ((3, 7), _give_leg_0_to_leg_1s_owner, "boundary_order"),
     "split_tile": ((5, 4), _split_a_tile, "not one contiguous run"),
+    "leg_ids": ((3, 7), _shift_leg_ids, "legs 0..N-1"),
+    "float_id": ((3, 7), _float_rotation_ref, "integers"),
 }
 
 
@@ -235,6 +258,83 @@ class TestMalformedGraphs:
             assert run(args + ["--graph", str(path), "--out", str(tmp_path / "out")]) == 1
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+def _json_paths(doc, prefix=()):
+    """Path and value of every node of a JSON document, the root excluded."""
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield prefix + (key,), value
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+WRONG_TYPES = (None, True, 1.5, "7", [], {}, 7)
+
+
+@st.composite
+def corrupted_graphs(draw):
+    """A valid {3,7}x2 or {5,4}x2 graph document with one field corrupted."""
+    p, q = draw(st.sampled_from([(3, 7), (5, 4)]))
+    data = hs.generate_tiling(p, q, 2).to_json_dict()
+    paths = dict(_json_paths(data))
+    kind = draw(st.sampled_from(["drop_key", "wrong_type", "shift_id", "duplicate_id", "swap_rotation", "drop_edge"]))
+    if kind == "drop_key":
+        path = draw(st.sampled_from([path for path in paths if isinstance(path[-1], str)]))
+        del _node(data, path[:-1])[path[-1]]
+    elif kind == "wrong_type":
+        path = draw(st.sampled_from(list(paths)))
+        original = paths[path]
+        values = [v for v in WRONG_TYPES if type(v) is not type(original)]
+        if type(original) is int:
+            values.append(float(original))  # equal to the id, but not an integer
+        _node(data, path[:-1])[path[-1]] = draw(st.sampled_from(values))
+    elif kind in ("shift_id", "duplicate_id"):
+        ids = [path for path, value in paths.items() if type(value) is int]
+        path = draw(st.sampled_from(ids))
+        if kind == "shift_id":
+            value = paths[path] + draw(st.integers(-7, 7).filter(bool))
+        else:
+            value = paths[draw(st.sampled_from(ids))]
+        _node(data, path[:-1])[path[-1]] = value
+    elif kind == "swap_rotation":
+        entries = [(v, i) for v, rot in enumerate(data["rotation"]) for i in range(len(rot))]
+        (v1, i1), (v2, i2) = draw(st.lists(st.sampled_from(entries), min_size=2, max_size=2, unique=True))
+        rotation = data["rotation"]
+        rotation[v1][i1], rotation[v2][i2] = rotation[v2][i2], rotation[v1][i1]
+    else:
+        del data["edges"][draw(st.integers(0, len(data["edges"]) - 1))]
+    return kind, data
+
+
+class TestCorruptionFuzz:
+    COMMANDS = (
+        ["ising", "plr", "--d", "2", "--support", "0:2"],
+        ["ising", "plr", "--d", "inf", "--mode", "per-leg", "--support", "0:2"],
+        ["cut", "sweep"],
+    )
+
+    @given(corrupted_graphs())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_exit_contract_holds(self, tmp_path_factory, case):
+        kind, data = case
+        work = tmp_path_factory.mktemp("fuzz")
+        path = work / "graph.json"
+        path.write_text(json.dumps(data))
+        for args in self.COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(args + ["--graph", str(path), "--out", str(work / "out")])
+            lines = err.getvalue().splitlines()
+            if code == 0:
+                assert lines == [], (kind, args)
+            else:
+                assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), (kind, args, code, lines)
 
 
 class TestSchemas:

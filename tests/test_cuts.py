@@ -8,7 +8,6 @@ import pytest
 import holoshadow as hs
 from holoshadow.core import SupportMask
 from holoshadow.cuts import (
-    aligned_positions,
     bulk_geodesic,
     cut_sweep,
     min_cut_exact,
@@ -48,7 +47,7 @@ def assert_sweep_matches(g, oracle):
     the global flip N: they keep the wall k + geodesic, so only
     min(minC, N) is compared."""
     n = g.n_legs
-    aligned = aligned_positions(g)
+    aligned = g.aligned
     for mode in ("per-leg", "per-vertex"):
         rows = cut_sweep(g, mode)
         assert len(rows) == n * (n - 1) + 1
@@ -100,7 +99,7 @@ class TestMinCutExact:
 
     def test_witness_is_consistent_optimal_cut(self):
         g = hs.generate_tiling(3, 7, 2)
-        pinned = {g.leg_owner(j) for j in range(3)}
+        pinned = {g.owners[j] for j in range(3)}
         cut = min_cut_exact(g, pinned, "per-leg")
         assert cut.witness is not None and pinned <= cut.witness
         bdry = sum(len(g.boundary_legs[v]) for v in cut.witness)
@@ -129,7 +128,7 @@ class TestBulkGeodesic:
         dual = dual_graph(g)
         n = g.n_legs
         # find an interval boundary splitting one tile's legs
-        aligned = aligned_positions(g)
+        aligned = g.aligned
         start = next(j for j in range(n) if j not in aligned)
         with pytest.raises(ValueError, match="min_cut_exact"):
             bulk_geodesic(g, dual, SupportMask.interval(n, start, 1))
@@ -266,11 +265,36 @@ class TestCutSweep:
         g = graphs54[2]
         rows = cut_sweep(g, "per-leg")
         n = g.n_legs
-        aligned = aligned_positions(g)
+        aligned = g.aligned
         by_key = {(r["start"], r["k"]): r for r in rows}
         assert len(rows) == n * (n - 1) + 1
         # a partial-tile interval still pays the whole tile's legs
         start = next(j for j in range(n) if j not in aligned)
         row = by_key[(start, 1)]
-        assert row["bdryC"] >= len(g.boundary_legs[g.leg_owner(start)])
+        assert row["bdryC"] >= len(g.boundary_legs[g.owners[start]])
         assert row["minC"] >= row["k"]
+
+
+class TestAlignedSweep:
+    def test_unrestricted_count(self):
+        g = hs.generate_tiling(3, 7, 2)
+        n = g.n_legs
+        rows = cut_sweep(g)
+        assert len(rows) == n * (n - 1) + 1
+        assert rows[0]["k"] == 0
+
+    def test_one_leg_tiles_keep_every_row(self):
+        g = hs.generate_tiling(3, 7, 2)
+        assert all(len(g.boundary_legs[g.owners[j]]) == 1 for j in range(g.n_legs))
+        assert len(cut_sweep(g, vertex_aligned_only=True)) == len(cut_sweep(g))
+
+    def test_aligned_filter_drops_partial_tiles(self):
+        g = hs.generate_tiling(5, 4, 3)
+        n = g.n_legs
+        full = cut_sweep(g)
+        aligned = cut_sweep(g, vertex_aligned_only=True)
+        assert 1 < len(aligned) < len(full)
+        for row in aligned[1:]:
+            interval = {(row["start"] + i) % n for i in range(row["k"])}
+            for j in interval:
+                assert set(g.boundary_legs[g.owners[j]]) <= interval

@@ -37,6 +37,11 @@ class TestEnergy:
         j, h = model.params.J, model.params.h
         assert energy({0: 1, 1: 1}, model) == pytest.approx(-j - 4 * h)
 
+    def test_unknown_field_mode(self, two_tile):
+        model = SpinModel(two_tile, ModelParams(2), "per-edge")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            energy({0: 1, 1: 1}, model)
+
     def test_missing_vertex(self, two_tile):
         model = SpinModel(two_tile, ModelParams(2))
         with pytest.raises(ValueError, match="misses"):
@@ -187,7 +192,7 @@ class TestEfRouteLeadingOrder:
         from holoshadow.core import subsets_of
 
         for b in subsets_of(support.sites):
-            region = frozenset(two_tile.leg_owner(j) for j in b)
+            region = frozenset(two_tile.owners[j] for j in b)
             ef[b] = hs.entanglement_feature(model, region)
         via_ef = plr_from_ef(support, ef, d)
         direct = hs.plr_exact(model, support).w

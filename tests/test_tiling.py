@@ -1,5 +1,6 @@
 """Tiling generation, planar dual extraction, boundary machinery."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 import holoshadow as hs
 from holoshadow.tiling import (
     TilingGraph,
-    boundary_intervals,
     boundary_size,
     dual_graph,
     inflation_growth_rate,
@@ -19,7 +19,7 @@ class TestGeneration:
     def test_single_triangle(self):
         g = hs.generate_tiling(3, 7, 1)
         assert (g.n_vertices, len(g.edges), g.n_legs) == (1, 0, 3)
-        assert g.boundary_legs[0] == [0, 1, 2]
+        assert g.boundary_legs[0] == (0, 1, 2)
 
     def test_single_pentagon(self):
         g = hs.generate_tiling(5, 4, 1)
@@ -81,6 +81,44 @@ class TestGeneration:
         for v in range(g.n_vertices):
             for leg in g.boundary_legs[v]:
                 assert owners[leg] == v
+
+
+class TestFrozenGraph:
+    def test_assignment_raises(self):
+        g = hs.generate_tiling(3, 7, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.edges = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.owners = ()
+
+    def test_sequence_fields_are_tuples(self, tmp_path):
+        generated = hs.generate_tiling(5, 4, 2)
+        generated.save(tmp_path / "g.json")
+        for g in (generated, TilingGraph.load(tmp_path / "g.json")):
+            for name in ("vertex_layers", "boundary_legs", "edges", "boundary_order", "rotation", "owners"):
+                assert type(getattr(g, name)) is tuple, name
+            assert all(type(legs) is tuple for legs in g.boundary_legs)
+            assert all(type(rot) is tuple for rot in g.rotation)
+
+    def test_owners_and_aligned(self):
+        # one leg per tile on {3,7}x2: every position is aligned; on
+        # {5,4}x2 one aligned position per boundary tile, at its first leg
+        g = hs.generate_tiling(3, 7, 2)
+        assert g.aligned == frozenset(range(g.n_legs))
+        g = hs.generate_tiling(5, 4, 2)
+        assert g.owners == tuple(v for _, v in g.boundary_order)
+        boundary_tiles = {v for v, legs in enumerate(g.boundary_legs) if legs}
+        assert len(g.aligned) == len(boundary_tiles) < g.n_legs
+        assert {g.owners[j] for j in g.aligned} == boundary_tiles
+
+    def test_boundary_cost_per_mode(self):
+        g = two_tile_graph(3)
+        assert g.boundary_cost("per-leg") == (2, 2)
+        assert g.boundary_cost("per-vertex") == (1, 1)
+        g = hs.generate_tiling(3, 7, 2)  # the central tile owns no legs
+        assert g.boundary_cost("per-leg")[0] == g.boundary_cost("per-vertex")[0] == 0
+        with pytest.raises(ValueError, match="mode must be one of"):
+            g.boundary_cost("per-edge")
 
 
 class TestBoundaryGrowth:
@@ -156,8 +194,7 @@ class TestDualGraph:
         assert dual.n_nodes == 4
         assert len(dual.arcs) == 1
         a, b, edge = dual.arcs[0]
-        owner = [g.leg_owner(j) for j in range(4)]
-        flip_positions = [j for j in range(4) if owner[j - 1] != owner[j]]
+        flip_positions = [j for j in range(4) if g.owners[j - 1] != g.owners[j]]
         assert {a, b} == {dual.gap_index[p] for p in flip_positions}
         assert edge == 0
 
@@ -216,29 +253,3 @@ class TestDualGraph:
         data["rotation"][(v + 1) % len(data["rotation"])].append(["leg", 0])
         with pytest.raises(ValueError, match="each leg at its tile"):
             TilingGraph.from_json_dict(data)
-
-
-class TestBoundaryIntervals:
-    def test_unrestricted_count(self):
-        g = hs.generate_tiling(3, 7, 2)
-        n = g.n_legs
-        intervals = boundary_intervals(g)
-        assert len(intervals) == n * (n - 1) + 1
-        assert intervals[0].is_empty
-
-    def test_aligned_equals_unrestricted_when_every_tile_owns_one_leg(self):
-        g = hs.generate_tiling(3, 7, 2)
-        assert all(len(g.boundary_legs[g.leg_owner(j)]) == 1 for j in range(g.n_legs))
-        assert len(boundary_intervals(g, True)) == len(boundary_intervals(g, False))
-
-    def test_aligned_filter_drops_partial_tiles(self):
-        g = hs.generate_tiling(5, 4, 3)
-        full = boundary_intervals(g, vertex_aligned_only=False)
-        aligned = boundary_intervals(g, vertex_aligned_only=True)
-        assert 1 < len(aligned) < len(full)
-        for m in aligned:
-            if m.is_empty:
-                continue
-            for j in m.sites:
-                owner_legs = g.boundary_legs[g.leg_owner(j)]
-                assert all(leg in m for leg in owner_legs)
