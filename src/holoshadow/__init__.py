@@ -6,8 +6,8 @@ exact replica recursions, minimal cuts, and exhaustive statistical-model
 enumeration.
 """
 
-from .analysis import FitResult, GeometryParams, arc_length, ceff_approx, ceff_continuous, fit_ceff, poincare_geodesic
-from .core import ModelParams, PlrResult, SupportMask, WVector, plr_from_ef, shadow_norm
+from .analysis import FitResult, arc_length, ceff_approx, ceff_continuous, fit_ceff, poincare_geodesic
+from .core import ModelParams, PlrResult, SupportMask, WVector, plr_from_ef
 from .cuts import CutResult, bulk_geodesic, cut_sweep, min_cut_exact, plr_large_d
 from .ising import SpinModel, energy, entanglement_feature, optimality_check, plr_exact, renyi_vs_cut
 from .lambertw import lambert_w

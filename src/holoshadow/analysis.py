@@ -4,11 +4,12 @@ On a hyperbolic tensor network the squared shadow norm of a contiguous
 k-leg interval scales as d^(k + c_eff ln min(k, N-k)): the boundary cut
 pays k and the bulk geodesic grows logarithmically with the interval,
 with proportionality constant c_eff (in cut units, i.e. with the 1/ln d
-factor absorbed).  ``fit_ceff`` extracts c_eff from sweep data by
-no-intercept least squares on the transformed variable; ``ceff_approx``
-is the cheap half-boundary estimate (2l+1 or 7l/2+1/2 cut lengths over
+factor absorbed).  ``fit_ceff`` extracts c_eff from sweep data by least
+squares through the origin in the transformed variable; ``ceff_approx`` is
+the cheap half-boundary estimate (2l+1 or 7l/2+1/2 cut lengths over
 ln(N/2)); the remaining functions give the continuum limit on the
-Poincare disk, where c_eff approaches 2R.
+Poincare disk of radius of curvature R (R > 0, 0 <= rho < 1,
+0 < phi < 2 pi), where c_eff approaches 2R.
 """
 
 from __future__ import annotations
@@ -28,42 +29,11 @@ class FitResult:
     n_points: int
 
 
-@dataclass(frozen=True)
-class GeometryParams:
-    """Poincare-disk coordinates and the curvature scales of the bulk."""
-
-    R: float
-    rho: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        if self.R <= 0:
-            raise ValueError("AdS radius must be positive")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must lie in [0, 1)")
-        if not 0.0 < self.phi < 2.0 * math.pi:
-            raise ValueError("phi must lie in (0, 2*pi)")
-
-    @property
-    def gaussian_curvature(self) -> float:
-        return -1.0 / (self.R * self.R)
-
-    @property
-    def ricci_scalar(self) -> float:
-        return -2.0 / (self.R * self.R)
-
-
-def fit_ceff(
-    points: Sequence[tuple[float, float]],
-    n_boundary: int,
-    intercept: bool = False,
-) -> FitResult:
+def fit_ceff(points: Sequence[tuple[float, float]], n_boundary: int) -> FitResult:
     """Least-squares c_eff from (k, log_d norm) sweep points.
 
-    Fits log_d_norm - k = c_eff * ln(min(k, N-k)); k = 0 and k = N points
-    are discarded (the regressor is undefined there).  The default is the
-    single-parameter fit through the origin; ``intercept=True`` adds a
-    diagnostic offset that is not part of any reported number.
+    Fits log_d_norm - k = c_eff * ln(min(k, N-k)) through the origin;
+    k = 0 and k = N points are discarded (the regressor is undefined there).
     """
     xs: list[float] = []
     ys: list[float] = []
@@ -78,22 +48,11 @@ def fit_ceff(
         raise ValueError("degenerate design: all min(k, N-k) values are equal")
 
     n = len(xs)
-    if intercept:
-        mx = sum(xs) / n
-        my = sum(ys) / n
-        sxx = sum((x - mx) ** 2 for x in xs)
-        sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-        slope = sxy / sxx
-        resid = [y - my - slope * (x - mx) for x, y in zip(xs, ys)]
-        dof = n - 2
-        var = sum(r * r for r in resid) / dof / sxx if dof > 0 else 0.0
-    else:
-        sxx = sum(x * x for x in xs)
-        sxy = sum(x * y for x, y in zip(xs, ys))
-        slope = sxy / sxx
-        resid = [y - slope * x for x, y in zip(xs, ys)]
-        dof = n - 1
-        var = sum(r * r for r in resid) / dof / sxx if dof > 0 else 0.0
+    sxx = sum(x * x for x in xs)
+    sxy = sum(x * y for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    resid = [y - slope * x for x, y in zip(xs, ys)]
+    var = sum(r * r for r in resid) / (n - 1) / sxx
     rms = math.sqrt(sum(r * r for r in resid) / n)
     return FitResult(c_eff=slope, stderr=math.sqrt(var), residual_rms=rms, n_points=n)
 
@@ -120,16 +79,21 @@ def ceff_approx(l: int, p: int, q: int, n_boundary: int) -> float:
 
 
 def arc_length(rho: float, phi: float, R: float) -> float:
-    """Length of the arc at Euclidean radius rho spanning angle phi."""
+    """Length of the arc at Euclidean radius rho spanning angle phi, on the
+    disk of radius of curvature R."""
+    if not R > 0:
+        raise ValueError(f"R (radius of curvature) must be positive, got {R}")
     if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must lie in [0, 1)")
-    if phi <= 0:
-        raise ValueError("phi must be positive")
+        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    if not 0.0 < phi < 2.0 * math.pi:
+        raise ValueError(f"phi must lie in (0, 2*pi), got {phi}")
     return 2.0 * phi * R * rho / (1.0 - rho * rho)
 
 
 def poincare_geodesic(rho1: float, phi1: float, rho2: float, phi2: float, R: float) -> float:
     """Geodesic distance between two points of the Poincare disk."""
+    if not R > 0:
+        raise ValueError(f"R (radius of curvature) must be positive, got {R}")
     for rho in (rho1, rho2):
         if not 0.0 <= rho < 1.0:
             raise ValueError("radii must lie in [0, 1)")

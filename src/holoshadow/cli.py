@@ -136,10 +136,6 @@ def _rate_payload(result: PlrResult) -> dict:
     }
 
 
-def _load_graph(path: str) -> tiling.TilingGraph:
-    return tiling.TilingGraph.load(path)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -200,14 +196,14 @@ def _cmd_tiling_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_cut_sweep(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = tiling.TilingGraph.load(args.graph)
     rows = cuts.cut_sweep(g, mode=args.mode, vertex_aligned_only=args.vertex_aligned)
     _emit_csv(rows, CSV_SWEEP_COLUMNS, args)
     return 0
 
 
 def _cmd_ising_plr(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = tiling.TilingGraph.load(args.graph)
     support = _parse_support(args.support, g.n_legs)
     if args.d is None:
         result = cuts.plr_large_d(g, support, d=2, mode=args.mode)
@@ -220,7 +216,7 @@ def _cmd_ising_plr(args: argparse.Namespace) -> int:
 
 
 def _cmd_ising_ef(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = tiling.TilingGraph.load(args.graph)
     support = _parse_support(args.support, g.n_legs)
     if args.d is None:
         raise ValueError("ising ef needs a finite d")

@@ -3,12 +3,10 @@
 A locally scrambled randomized measurement makes every Pauli operator an
 eigenmode of the measurement channel; the eigenvalue w (the Pauli learning
 rate, PLR) fixes the sample complexity through the squared shadow norm
-1/w.  This module holds the types shared by all schemes and the two
-scheme-independent conversions:
-
-* ``shadow_norm``  -- PLR -> squared shadow norm (reciprocal),
-* ``plr_from_ef``  -- entanglement features W(B) over subsets of the
-  support -> PLR, via the alternating-sum identity
+1/w (``PlrResult.shadow_norm_sq``).  This module holds the types shared
+by all schemes and the scheme-independent conversion ``plr_from_ef``:
+entanglement features W(B) over subsets of the support -> PLR, via the
+alternating-sum identity
 
       w(A) = (-1)^|A| / (d^2-1)^|A| * sum_{B subseteq A} (-d)^|B| W(B).
 
@@ -30,41 +28,23 @@ MAX_SUBSET_SUPPORT = 20
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Bond/local dimension and the derived statistical-model couplings.
-
-    ``a = d/(d^2+1)`` is the weight of a replica-permutation mismatch at a
-    two-qudit gate; ``J = h = ln(d)/2`` are the Ising coupling and boundary
-    field of the cut model.  ``bulk_dim``/``bdry_dim`` allow distinct bulk
-    and boundary leg dimensions and default to ``d``.
-    """
+    """Bond dimension d and the couplings J = h = ln(d)/2 of the cut model:
+    the Ising coupling and the boundary field.  The gate's mismatch weight
+    is ``mismatch_weight(d)``."""
 
     d: int
-    bulk_dim: int | None = None
-    bdry_dim: int | None = None
 
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError(f"local dimension d must be >= 2, got {self.d}")
-        if self.bulk_dim is None:
-            object.__setattr__(self, "bulk_dim", self.d)
-        if self.bdry_dim is None:
-            object.__setattr__(self, "bdry_dim", self.d)
-
-    @property
-    def a(self) -> float:
-        return self.d / (self.d**2 + 1)
-
-    @property
-    def a_exact(self) -> Fraction:
-        return Fraction(self.d, self.d**2 + 1)
 
     @property
     def J(self) -> float:
-        return 0.5 * math.log(self.bulk_dim)
+        return 0.5 * math.log(self.d)
 
     @property
     def h(self) -> float:
-        return 0.5 * math.log(self.bdry_dim)
+        return 0.5 * math.log(self.d)
 
 
 def mismatch_weight(d: int, exact: bool = False) -> Real:
@@ -133,9 +113,6 @@ class SupportMask:
     def __iter__(self) -> Iterator[int]:
         return iter(sorted(self.sites))
 
-    def complement(self) -> "SupportMask":
-        return SupportMask(self.n, frozenset(range(self.n)) - self.sites)
-
     def union(self, other: "SupportMask") -> "SupportMask":
         if other.n != self.n:
             raise ValueError("cannot union masks over different boundary sizes")
@@ -189,15 +166,6 @@ class PlrResult:
         return cls(w=w, shadow_norm_sq=norm, log_d_norm=-log_w / math.log(d))
 
 
-def shadow_norm(w: Real) -> Real:
-    """Squared shadow norm 1/w of a Pauli with learning rate w (w > 0)."""
-    if w <= 0:
-        raise ValueError(f"learning rate must be positive, got {w}")
-    if isinstance(w, Fraction):
-        return Fraction(1) / w
-    return 1.0 / w
-
-
 def subsets_of(sites: Iterable[int]) -> Iterator[frozenset]:
     """All subsets of `sites` in lexicographic bitmask order."""
     ordered = sorted(sites)
@@ -224,21 +192,13 @@ def plr_from_ef(
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
+    num = Fraction if exact else float
     k = support.k
-    if exact:
-        total = Fraction(0)
-        for b in subsets_of(support.sites):
-            try:
-                w_b = ef[b]
-            except KeyError:
-                raise ValueError(f"entanglement-feature oracle missing subset {sorted(b)}")
-            total += Fraction(-d) ** len(b) * Fraction(w_b)
-        return Fraction(-1) ** k / Fraction(d * d - 1) ** k * total
-    total = 0.0
+    total = num(0)
     for b in subsets_of(support.sites):
         try:
             w_b = ef[b]
         except KeyError:
             raise ValueError(f"entanglement-feature oracle missing subset {sorted(b)}")
-        total += (-float(d)) ** len(b) * float(w_b)
-    return (-1.0) ** k / float(d * d - 1) ** k * total
+        total += num(-d) ** len(b) * num(w_b)
+    return num(-1) ** k / num(d * d - 1) ** k * total

@@ -46,7 +46,6 @@ class SpinModel:
     graph: TilingGraph
     params: ModelParams
     boundary_field_mode: str = "per-vertex"
-    energy_offset: float = 0.0  # pure gauge; must drop out of all ratios
 
     def __post_init__(self) -> None:
         if self.graph.n_vertices > MAX_VERTICES:
@@ -71,8 +70,7 @@ def energy(config: Mapping[int, int], model: SpinModel) -> float:
         if config[v] not in (-1, 1):
             raise ValueError(f"spin of vertex {v} must be +-1")
     j = model.params.J
-    total = model.energy_offset
-    total -= j * sum(config[u] * config[v] for u, v in g.edges)
+    total = -j * sum(config[u] * config[v] for u, v in g.edges)
     total -= sum(model.field(v) * config[v] for v in model.boundary_vertices())
     return total
 
@@ -91,7 +89,7 @@ def _log_boltzmann_sum(
     free = [v for v in range(n) if v not in pinned]
     fidx = {v: i for i, v in enumerate(free)}
 
-    const = -model.energy_offset
+    const = 0.0
     linear = [0.0] * len(free)
     pair_edges: list[tuple[int, int]] = []
     for u, v in g.edges:
@@ -147,11 +145,8 @@ def plr_exact(model: SpinModel, support: SupportMask) -> PlrResult:
     return PlrResult.from_log_w(log_num - log_den, model.params.d)
 
 
-def entanglement_feature(model: SpinModel, region: Iterable[int]) -> float:
-    """Partition-function ratio Z[tau(region)] / Z[tau(empty)].
-
-    `region` is a set of boundary tiles whose field sign is flipped.
-    """
+def _log_feature(model: SpinModel, region: Iterable[int]) -> float:
+    """ln W(region); finite where W itself underflows."""
     region = frozenset(region)
     bdry = set(model.boundary_vertices())
     bad = region - bdry
@@ -159,7 +154,15 @@ def entanglement_feature(model: SpinModel, region: Iterable[int]) -> float:
         raise ValueError(f"region contains non-boundary vertices {sorted(bad)}")
     log_num = _log_boltzmann_sum(model, tau={v: -1 for v in region})
     log_den = _log_boltzmann_sum(model)
-    return math.exp(log_num - log_den)
+    return log_num - log_den
+
+
+def entanglement_feature(model: SpinModel, region: Iterable[int]) -> float:
+    """Partition-function ratio Z[tau(region)] / Z[tau(empty)].
+
+    `region` is a set of boundary tiles whose field sign is flipped.
+    """
+    return math.exp(_log_feature(model, region))
 
 
 def renyi_vs_cut(
@@ -179,24 +182,25 @@ def renyi_vs_cut(
     rows = []
     for d in d_list:
         model_d = SpinModel(g, ModelParams(d), model.boundary_field_mode)
-        w = entanglement_feature(model_d, region) if region else 1.0
-        rows.append({"d": d, "renyi_over_log_d": -math.log(w) / math.log(d), "bulkC": bulk})
+        log_w = _log_feature(model_d, region) if region else 0.0
+        rows.append({"d": d, "renyi_over_log_d": -log_w / math.log(d), "bulkC": bulk})
     return rows
 
 
 def optimality_check(model: SpinModel, region_legs: SupportMask) -> bool:
     """Does some Pauli inside the region have w <= 1/(d^|region| + 1)?
 
-    Vacuously true for the empty region.  Can fail in per-vertex mode for
-    regions not covering all legs of a tile, where the pinned-spin rate
-    floors at the tile level.
+    Compared in log_d space, -log_d w >= k + log_d(1 + d^-k), so that no d
+    overflows.  Vacuously true for the empty region.  Can fail in per-vertex
+    mode for regions not covering all legs of a tile, where the pinned-spin
+    rate floors at the tile level.
     """
     k = region_legs.k
     if k == 0:
         return True
-    d = model.params.d
-    bound = 1.0 / (float(d) ** k + 1.0)
-    best = math.inf
+    log_d = math.log(model.params.d)
+    bound = k + math.log1p(math.exp(-k * log_d)) / log_d
+    best = -math.inf
     seen: set[frozenset] = set()
     for sub in subsets_of(region_legs.sites):
         if not sub:
@@ -206,6 +210,5 @@ def optimality_check(model: SpinModel, region_legs: SupportMask) -> bool:
         if pinned in seen:
             continue
         seen.add(pinned)
-        w = plr_exact(model, support).w
-        best = min(best, w)
-    return best <= bound
+        best = max(best, plr_exact(model, support).log_d_norm)
+    return best >= bound

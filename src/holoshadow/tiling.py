@@ -14,7 +14,7 @@ the central tile; the half-boundary cut formulas indexed by l elsewhere in
 the package refer to l = layers - 1 (a single tile has no bulk to cut).
 Each tile also carries one measured bulk leg; it connects to nothing and
 contributes only spin-independent constants that cancel in every
-learning-rate ratio, so it is recorded as metadata rather than structure.
+learning-rate ratio, so the graph leaves it out.
 
 The planar embedding is carried as a rotation system (counterclockwise
 edge/leg order per tile), from which ``dual_graph`` extracts the regions
@@ -57,8 +57,6 @@ class TilingGraph:
     edges: tuple[tuple[int, int], ...]
     boundary_order: tuple[tuple[int, int], ...]  # (leg, owner vertex), cyclic
     rotation: tuple[tuple[tuple[str, int], ...], ...] | None = None
-    # generator-internal metadata (not serialized); used by test oracles
-    meta: dict | None = field(default=None, repr=False, compare=False)
     #: owners[j] is the tile owning leg j
     owners: tuple[int, ...] = field(init=False, repr=False, compare=False)
     #: rim positions j whose legs j-1 and j belong to different tiles
@@ -201,13 +199,13 @@ class DualGraph:
     One node per interior region, one gap node per boundary position
     (between consecutive legs); one arc per bulk edge, crossing it.
     ``gap_index[j]`` is the node of the gap *before* leg j (between legs
-    j-1 and j).
+    j-1 and j); the interior regions are the other n_nodes - len(gap_index)
+    nodes, numbered first.
     """
 
     n_nodes: int
     arcs: list[tuple[int, int, int]]  # (node_a, node_b, bulk edge index)
     gap_index: dict[int, int]
-    interior_nodes: list[int]
     neighbors: list[list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -382,7 +380,6 @@ def _compile(patch: _Patch, p: int, q: int, layers: int) -> TilingGraph:
 
     n_faces = len(patch.face_verts)
     edges: list[tuple[int, int]] = []
-    edge_index: dict[frozenset, int] = {}
     pair_seen: set[tuple[int, int]] = set()
     for key, faces in sorted(emap.items(), key=lambda kv: tuple(sorted(kv[0]))):
         if len(faces) == 2:
@@ -390,7 +387,6 @@ def _compile(patch: _Patch, p: int, q: int, layers: int) -> TilingGraph:
             if pair in pair_seen:
                 raise RuntimeError(f"tiles {pair} share more than one edge")
             pair_seen.add(pair)
-            edge_index[key] = len(edges)
             edges.append(pair)
 
     rotation: list[list[tuple[str, int]]] = []
@@ -409,10 +405,10 @@ def _compile(patch: _Patch, p: int, q: int, layers: int) -> TilingGraph:
         rotation.append(rot)
         boundary_legs[f].sort()
 
-    interior_verts = [v for v in patch.vert_faces if v not in set(rim)]
-    for v in interior_verts:
-        if patch.vert_faces[v] != q:
-            raise RuntimeError(f"interior tiling vertex {v} has {patch.vert_faces[v]} != q tiles")
+    on_rim = set(rim)
+    for v, count in patch.vert_faces.items():
+        if v not in on_rim and count != q:
+            raise RuntimeError(f"interior tiling vertex {v} has {count} != q tiles")
 
     return TilingGraph(
         p=p,
@@ -423,13 +419,6 @@ def _compile(patch: _Patch, p: int, q: int, layers: int) -> TilingGraph:
         edges=edges,
         boundary_order=boundary_order,
         rotation=rotation,
-        meta={
-            "face_verts": list(patch.face_verts),
-            "rim_cycle": list(rim),
-            "vert_faces": dict(patch.vert_faces),
-            "interior_vert_count": len(interior_verts),
-            "edge_index": edge_index,
-        },
     )
 
 
@@ -543,14 +532,12 @@ def dual_graph(g: TilingGraph) -> DualGraph:
         )
 
     nodes = 0
-    interior_nodes: list[int] = []
     dart_region: dict[tuple[int, int], int] = {}
     for o in orbits:
         if o is outer_orbits[0]:
             continue
         for dart in o:
             dart_region[dart] = nodes
-        interior_nodes.append(nodes)
         nodes += 1
 
     # split the outer orbit into gaps at each leg dart
@@ -585,4 +572,4 @@ def dual_graph(g: TilingGraph) -> DualGraph:
         sv = entry_slot[("edge", v, u)]
         arcs.append((dart_region[(u, su)], dart_region[(v, sv)], e))
 
-    return DualGraph(n_nodes=nodes, arcs=arcs, gap_index=gap_index, interior_nodes=interior_nodes)
+    return DualGraph(n_nodes=nodes, arcs=arcs, gap_index=gap_index)

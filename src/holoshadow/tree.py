@@ -300,26 +300,20 @@ def g_sequence(d: int, m: int, exact: bool = False) -> list[Real]:
     return out
 
 
-def q_series(d: int, tol: float = 1e-12) -> float:
+def q_series(d: int) -> float:
     """The convergent series Q(d) = sum_i ln(1 + 2a g_i) / 2^(i+1).
 
     Terms decay at least geometrically in both the 1/2^(i+1) prefactor and
-    |g_i|, so once |term_i| < tol the remaining tail is below tol as well
-    (tail <= |ln(1+2a g_i)| * 2^-(i+1) = |term_i|).
+    |g_i|, so once |term_i| < 1e-12 the remaining tail is below 1e-12 as
+    well (tail <= |ln(1+2a g_i)| * 2^-(i+1) = |term_i|).
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     a2 = 2.0 * mismatch_weight(d)
-    g = -1.0 / d
     total = 0.0
-    for i in range(256):
+    for i, g in enumerate(g_sequence(d, 256)):
         term = math.log1p(a2 * g) / 2 ** (i + 1)
         total += term
-        if abs(term) < tol:
+        if abs(term) < 1e-12:
             break
-        g = g * (g + a2) / (1.0 + a2 * g)
     return total
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoshadow.analysis import (
-    GeometryParams,
     arc_length,
     ceff_approx,
     ceff_continuous,
@@ -40,11 +39,6 @@ class TestFitCeff:
     def test_degenerate_design(self):
         with pytest.raises(ValueError, match="degenerate"):
             fit_ceff([(2, 3.0), (6, 7.0)], 8)  # min(k, N-k) = 2 for both
-
-    def test_intercept_mode_is_diagnostic_only(self):
-        pts = [(k, 0.3 + k + 2.0 * math.log(min(k, 32 - k))) for k in range(1, 32)]
-        with_icpt = fit_ceff(pts, 32, intercept=True)
-        assert with_icpt.c_eff == pytest.approx(2.0, abs=1e-9)
 
 
 class TestCeffApprox:
@@ -164,14 +158,21 @@ class TestCeffContinuous:
 
 
 class TestGeometryParams:
-    def test_curvature_relations(self):
-        geo = GeometryParams(R=2.0, rho=0.5, phi=math.pi)
-        assert geo.gaussian_curvature * geo.R**2 == pytest.approx(-1.0)
-        assert geo.ricci_scalar == pytest.approx(2 * geo.gaussian_curvature)
+    """The disk parameters (R, rho, phi) are checked where an arc is measured."""
 
-    @pytest.mark.parametrize("kwargs", [dict(R=0.0), dict(rho=1.0), dict(phi=0.0), dict(phi=7.0)])
+    @pytest.mark.parametrize(
+        "kwargs", [dict(R=0.0), dict(rho=1.0), dict(phi=0.0), dict(phi=7.0), dict(R=-2.0)]
+    )
     def test_validation(self, kwargs):
         base = dict(R=1.0, rho=0.5, phi=math.pi)
         base.update(kwargs)
-        with pytest.raises(ValueError):
-            GeometryParams(**base)
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"^{name} "):
+            arc_length(**base)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            ceff_continuous(**base)
+
+    @pytest.mark.parametrize("radius", [0.0, -2.0])
+    def test_geodesic_needs_positive_radius(self, radius):
+        with pytest.raises(ValueError, match="^R "):
+            poincare_geodesic(0.5, 0.0, 0.5, 1.0, radius)

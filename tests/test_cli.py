@@ -171,6 +171,15 @@ class TestGeom:
         )
         assert doc["c_eff"] == pytest.approx(1.9396, abs=1e-3)
 
+    @pytest.mark.parametrize(
+        "args,name", [(["--rho", "0.9", "--phi", "7"], "phi"), (["--R", "0", "--rho", "0.9", "--phi", "1"], "R")]
+    )
+    def test_out_of_range_parameter(self, args, name, capsys):
+        assert run(["geom", "ceff", *args]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {name} ")
+
 
 class TestErrors:
     def test_usage_error_is_2(self):

@@ -10,10 +10,15 @@ from holoshadow.core import (
     ModelParams,
     PlrResult,
     SupportMask,
+    mismatch_weight,
     plr_from_ef,
-    shadow_norm,
     subsets_of,
 )
+
+
+def shadow_norm(w):
+    """Squared shadow norm 1/w, read from the learning-rate result."""
+    return PlrResult.from_w(w, 2).shadow_norm_sq
 
 
 class TestShadowNorm:
@@ -53,10 +58,6 @@ class TestSupportMask:
         assert SupportMask.empty(5).contiguous_bounds() == (0, 0)
         assert SupportMask.interval(5, 0, 5).contiguous_bounds() == (0, 5)
 
-    def test_complement(self):
-        m = SupportMask.interval(6, 1, 2)
-        assert sorted(m.complement().sites) == [0, 3, 4, 5]
-
     def test_site_range_checked(self):
         with pytest.raises(ValueError):
             SupportMask(4, frozenset({4}))
@@ -66,18 +67,14 @@ class TestModelParams:
     @pytest.mark.parametrize("d", [2, 3, 5, 17])
     def test_couplings(self, d):
         p = ModelParams(d)
-        assert p.a == pytest.approx(d / (d**2 + 1))
-        assert 0 < p.a <= 0.5
+        assert mismatch_weight(d) == pytest.approx(d / (d**2 + 1))
+        assert 0 < mismatch_weight(d) <= 0.5
         assert p.J == p.h > 0
-        assert p.a_exact == Fraction(d, d**2 + 1)
+        assert mismatch_weight(d, exact=True) == Fraction(d, d**2 + 1)
 
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
             ModelParams(1)
-
-    def test_distinct_leg_dimensions(self):
-        p = ModelParams(2, bulk_dim=4, bdry_dim=2)
-        assert p.J > p.h
 
 
 class TestPlrResult:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import holoshadow as hs
+from holoshadow import tiling
 from holoshadow.tiling import (
     TilingGraph,
     boundary_size,
@@ -13,6 +14,14 @@ from holoshadow.tiling import (
     inflation_growth_rate,
     two_tile_graph,
 )
+
+
+def grown_patch(p, q, layers):
+    """The tiling patch generate_tiling compiles, grown the same way."""
+    patch = tiling._Patch(p)
+    for layer in range(2, layers + 1):
+        patch.inflate(q, layer)
+    return patch
 
 
 class TestGeneration:
@@ -65,12 +74,12 @@ class TestGeneration:
 
     @pytest.mark.parametrize("p,q,layers", [(3, 7, 3), (5, 4, 3)])
     def test_interior_tiling_vertices_saturated(self, p, q, layers):
-        g = hs.generate_tiling(p, q, layers)
-        rim = set(g.meta["rim_cycle"])
-        for v, count in g.meta["vert_faces"].items():
+        patch = grown_patch(p, q, layers)
+        rim = set(patch.boundary)
+        for v, count in patch.vert_faces.items():
             if v not in rim:
                 assert count == q
-        for face in g.meta["face_verts"]:
+        for face in patch.face_verts:
             assert len(face) == p
 
     def test_boundary_order_covers_each_leg_once(self):
@@ -182,7 +191,7 @@ class TestDualGraph:
         g = hs.generate_tiling(3, 7, 1)
         dual = dual_graph(g)
         assert dual.n_nodes == 3
-        assert dual.interior_nodes == []
+        assert dual.n_nodes - len(dual.gap_index) == 0
         assert dual.arcs == []
         assert sorted(dual.gap_index) == [0, 1, 2]
 
@@ -210,15 +219,16 @@ class TestDualGraph:
         # V - E + F = 2 with F counting interior regions plus one outer face
         g = hs.generate_tiling(p, q, layers)
         dual = dual_graph(g)
-        faces = len(dual.interior_nodes) + 1
+        faces = dual.n_nodes - len(dual.gap_index) + 1
         assert g.n_vertices - len(g.edges) + faces == 2
 
     def test_interior_regions_are_interior_tiling_vertices(self):
-        # independent count from the generator's tiling metadata
+        # independent count from the tiling vertices the generator grew
         for p, q, layers in [(3, 7, 2), (3, 7, 3), (5, 4, 3)]:
-            g = hs.generate_tiling(p, q, layers)
-            dual = dual_graph(g)
-            assert len(dual.interior_nodes) == g.meta["interior_vert_count"]
+            dual = dual_graph(hs.generate_tiling(p, q, layers))
+            patch = grown_patch(p, q, layers)
+            interior_verts = set(patch.vert_faces) - set(patch.boundary)
+            assert dual.n_nodes - len(dual.gap_index) == len(interior_verts)
 
     def test_requires_rotation(self):
         g = hs.generate_tiling(3, 7, 2)

@@ -242,9 +242,6 @@ class TestSeriesAndBeta:
         b = hs.beta(d)
         assert abs(b.beta_norm - d - 0.5 / d**2) <= d**-3
 
-    def test_truncation_tolerance(self):
-        assert hs.q_series(2, tol=1e-6) == pytest.approx(hs.q_series(2, tol=1e-14), abs=1e-5)
-
     def test_table_rows(self):
         rows = table_rows([2, 3])
         assert [r["d"] for r in rows] == [2, 3]
