@@ -2,8 +2,8 @@
 
 Learning rates and shadow norms of Pauli operators under binary-tree
 measurement circuits and hyperbolic random tensor networks, computed by
-exact replica recursions, minimal cuts, and exhaustive statistical-model
-enumeration.
+exact replica recursions, minimal cuts, and exact statistical-model sums
+by variable elimination.
 """
 
 from .analysis import FitResult, arc_length, ceff_approx, ceff_continuous, fit_ceff, poincare_geodesic

@@ -124,16 +124,17 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _normal_or_null(x: float) -> float | None:
+    """x if it is a positive normal double, else None (JSON null)."""
+    return x if x >= sys.float_info.min else None
+
+
 def _rate_payload(result: PlrResult) -> dict:
     """JSON fields of a learning rate.  w and its reciprocal are null unless
     w is a positive normal double, which also keeps 1/w <= 2^1022 finite."""
-    if float(result.w) < sys.float_info.min:
-        return {"w": None, "shadow_norm_sq": None, "log_d_norm": result.log_d_norm}
-    return {
-        "w": float(result.w),
-        "shadow_norm_sq": float(result.shadow_norm_sq),
-        "log_d_norm": result.log_d_norm,
-    }
+    w = _normal_or_null(float(result.w))
+    norm = None if w is None else float(result.shadow_norm_sq)
+    return {"w": w, "shadow_norm_sq": norm, "log_d_norm": result.log_d_norm}
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +223,10 @@ def _cmd_ising_ef(args: argparse.Namespace) -> int:
         raise ValueError("ising ef needs a finite d")
     model = ising.SpinModel(g, ModelParams(args.d), boundary_field_mode=args.mode)
     region = cuts.pinned_for_interval(g, support)
-    w = ising.entanglement_feature(model, region)
+    log_w = ising.log_entanglement_feature(model, region)
     payload = {
-        "W": w,
-        "minus_log_d_W": -math.log(w) / math.log(args.d),
+        "W": _normal_or_null(math.exp(log_w)),
+        "minus_log_d_W": -log_w / math.log(args.d),
         "region_vertices": sorted(region),
     }
     _emit_json(payload, args)

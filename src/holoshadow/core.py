@@ -188,17 +188,17 @@ def plr_from_ef(
 
     `ef` must provide W(B) for every subset B of the support (2^k entries,
     keyed by frozenset of site indices).  Raises ValueError if any subset
-    is missing from the oracle.
+    is missing from the oracle.  The sum is exact; without `exact` it is
+    rounded to a float once, at the end, so no d overflows.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    num = Fraction if exact else float
-    k = support.k
-    total = num(0)
+    total = Fraction(0)
     for b in subsets_of(support.sites):
         try:
             w_b = ef[b]
         except KeyError:
             raise ValueError(f"entanglement-feature oracle missing subset {sorted(b)}")
-        total += num(-d) ** len(b) * num(w_b)
-    return num(-1) ** k / num(d * d - 1) ** k * total
+        total += (-d) ** len(b) * Fraction(w_b)
+    w = total / (1 - d * d) ** support.k
+    return w if exact else float(w)

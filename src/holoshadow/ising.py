@@ -1,16 +1,16 @@
-"""Exact statistical-mechanics evaluation on small holographic graphs.
+"""Exact statistical-mechanics evaluation on holographic graphs.
 
 Each tile of a TilingGraph carries an Ising spin; a configuration costs
 
     E(s) = -J sum_edges s_u s_v - sum_bdry h_v s_v,        J = h = ln(d)/2,
 
 with h_v = h per boundary tile ("per-vertex") or h times its leg count
-("per-leg").  Exhaustive enumeration of all configurations then gives:
+("per-leg").  Exact Boltzmann sums over all configurations then give:
 
 * ``plr_exact``            -- the pinned-spin learning rate: the Boltzmann
   sum with all tiles owning support legs forced to -1, over the free sum;
 * ``entanglement_feature`` -- the partition-function ratio with the
-  boundary field sign flipped on a region of tiles;
+  boundary field sign flipped on a region of tiles (and its log);
 * ``renyi_vs_cut``         -- -log_d W against the bulk geodesic, which it
   approaches as d grows;
 * ``optimality_check``     -- whether min_supp w <= 1/(d^|region|+1), the
@@ -18,25 +18,26 @@ with h_v = h per boundary tile ("per-vertex") or h times its leg count
 
 These are annealed averages (ratios of ensemble averages), exact for the
 Gaussian tensor ensemble average of numerator and denominator separately
-and exact for the ratio only in the large-bond limit.  Everything is
-enumerated (no transfer matrices) so the module can serve as an oracle;
-the hard cap is 24 tiles, vectorized in chunks with running log-sum-exp.
+and exact for the ratio only in the large-bond limit.  Each sum is one
+variable elimination in log space over a min-degree order of the tiles,
+so its cost, which the cap bounds, grows with that order's width, not N.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .core import ModelParams, PlrResult, SupportMask, subsets_of
 from .cuts import bulk_geodesic, pinned_for_interval
 from .tiling import TilingGraph, dual_graph
 
-MAX_VERTICES = 24
-_CHUNK = 1 << 20
+#: Cap on the table entries one sum builds over the elimination order; a
+#: {3,7} patch of 181 tiles needs 2,923, and a sum at the cap takes seconds.
+MAX_TABLE_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -46,19 +47,47 @@ class SpinModel:
     graph: TilingGraph
     params: ModelParams
     boundary_field_mode: str = "per-vertex"
+    #: the tiles in min-degree elimination order, ties broken by tile id
+    order: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.graph.n_vertices > MAX_VERTICES:
-            raise ValueError(
-                f"exhaustive enumeration capped at {MAX_VERTICES} vertices, "
-                f"graph has {self.graph.n_vertices}"
-            )
+        object.__setattr__(self, "order", _elimination_order(self.graph))
 
     def field(self, v: int) -> float:
         return self.graph.boundary_cost(self.boundary_field_mode)[v] * self.params.h
 
     def boundary_vertices(self) -> list[int]:
         return [v for v in range(self.graph.n_vertices) if self.graph.boundary_legs[v]]
+
+
+def _elimination_order(g: TilingGraph) -> tuple[int, ...]:
+    """Min-degree order of the tiles with fill-in, ties broken by id.  Each
+    elimination builds a table of 2^degree entries; raises ValueError once
+    they pass MAX_TABLE_ENTRIES.  Pins only shrink the tables of this order."""
+    adj = [set() for _ in range(g.n_vertices)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    heap = [(len(nbrs), v) for v, nbrs in enumerate(adj)]
+    heapq.heapify(heap)
+    order: dict[int, None] = {}  # an insertion-ordered set
+    entries = 0
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if v in order or degree != len(adj[v]):
+            continue
+        order[v] = None
+        entries += 1 << degree
+        if entries > MAX_TABLE_ENTRIES:
+            raise ValueError(
+                f"variable elimination on this {g.n_vertices}-tile graph needs more than "
+                f"{MAX_TABLE_ENTRIES} table entries"
+            )
+        for u in adj[v]:
+            adj[u] |= adj[v]
+            adj[u] -= {u, v}
+            heapq.heappush(heap, (len(adj[u]), u))
+    return tuple(order)
 
 
 def energy(config: Mapping[int, int], model: SpinModel) -> float:
@@ -75,86 +104,62 @@ def energy(config: Mapping[int, int], model: SpinModel) -> float:
     return total
 
 
-def _log_boltzmann_sum(
-    model: SpinModel,
-    pinned: Mapping[int, int] | None = None,
-    tau: Mapping[int, int] | None = None,
-) -> float:
-    """ln sum_s exp(-E(s)) with some spins pinned and field signs tau."""
-    g = model.graph
-    pinned = dict(pinned or {})
-    tau = dict(tau or {})
-    j = model.params.J
-    n = g.n_vertices
-    free = [v for v in range(n) if v not in pinned]
-    fidx = {v: i for i, v in enumerate(free)}
+def _log_boltzmann_sum(model: SpinModel, pinned: Mapping[int, int], tau: Mapping[int, int]) -> float:
+    """ln sum_s exp(-E(s)) with some spins pinned and field signs tau.
 
+    A factor is (scope in elimination order, table of log-weights) and waits
+    in the bucket of its first tile; bit i of a table index is the spin of
+    scope[i], 0 for +1 and 1 for -1.
+    """
+    rank = {v: i for i, v in enumerate(model.order)}
+    # -E(s) as coefficients times products of spins; pins fold into them
+    terms = [((u, v), model.params.J) for u, v in model.graph.edges]
+    terms += [((v,), model.field(v) * tau.get(v, 1)) for v in model.boundary_vertices()]
     const = 0.0
-    linear = [0.0] * len(free)
-    pair_edges: list[tuple[int, int]] = []
-    for u, v in g.edges:
-        if u in pinned and v in pinned:
-            const += j * pinned[u] * pinned[v]
-        elif u in pinned:
-            linear[fidx[v]] += j * pinned[u]
-        elif v in pinned:
-            linear[fidx[u]] += j * pinned[v]
+    linear = [0.0] * model.graph.n_vertices
+    buckets = {v: [] for v in model.order if v not in pinned}
+    for tiles, coeff in terms:
+        coeff *= math.prod(pinned[u] for u in tiles if u in pinned)
+        free = sorted((u for u in tiles if u not in pinned), key=rank.__getitem__)
+        if len(free) == 2:
+            buckets[free[0]].append((tuple(free), (coeff, -coeff, -coeff, coeff)))
+        elif free:
+            linear[free[0]] += coeff
         else:
-            pair_edges.append((fidx[u], fidx[v]))
-    for v in model.boundary_vertices():
-        coeff = model.field(v) * tau.get(v, 1)
-        if v in pinned:
-            const += coeff * pinned[v]
+            const += coeff
+    for v, bucket in buckets.items():
+        bucket.append(((v,), (linear[v], -linear[v])))
+        scope = (v, *sorted({u for s, _ in bucket for u in s} - {v}, key=rank.__getitem__))
+        total = [0.0] * (1 << len(scope))
+        for factor_scope, table in bucket:
+            index = [0]
+            for u in scope:
+                bit = 1 << factor_scope.index(u) if u in factor_scope else 0
+                index += [i + bit for i in index]
+            total = [t + table[i] for t, i in zip(total, index)]
+        # sum out v, the lowest bit
+        message = [max(a, b) + math.log1p(math.exp(-abs(a - b))) for a, b in zip(total[::2], total[1::2])]
+        if len(scope) > 1:
+            buckets[scope[1]].append((scope[1:], message))
         else:
-            linear[fidx[v]] += coeff
-
-    nfree = len(free)
-    if nfree == 0:
-        return const
-
-    running_max = -math.inf
-    running_sum = 0.0
-    total = 1 << nfree
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        acc = np.full(idx.shape, const, dtype=np.float64)
-        for ju, jv in pair_edges:
-            antialigned = ((idx >> ju) ^ (idx >> jv)) & 1
-            acc += j - (2.0 * j) * antialigned
-        for jv, coeff in enumerate(linear):
-            if coeff == 0.0:
-                continue
-            bit = (idx >> jv) & 1
-            acc += coeff - (2.0 * coeff) * bit
-        chunk_max = float(acc.max())
-        chunk_sum = float(np.exp(acc - chunk_max).sum())
-        if chunk_max > running_max:
-            running_sum = running_sum * math.exp(running_max - chunk_max) + chunk_sum
-            running_max = chunk_max
-        else:
-            running_sum += chunk_sum * math.exp(chunk_max - running_max)
-    return running_max + math.log(running_sum)
+            const += message[0]
+    return const
 
 
 def plr_exact(model: SpinModel, support: SupportMask) -> PlrResult:
     """Pinned-spin learning rate: tiles owning support legs forced to -1."""
-    pinned = {v: -1 for v in pinned_for_interval(model.graph, support)}
-    log_num = _log_boltzmann_sum(model, pinned=pinned)
-    log_den = _log_boltzmann_sum(model)
-    return PlrResult.from_log_w(log_num - log_den, model.params.d)
+    pinned = dict.fromkeys(pinned_for_interval(model.graph, support), -1)
+    log_w = _log_boltzmann_sum(model, pinned, {}) - _log_boltzmann_sum(model, {}, {})
+    return PlrResult.from_log_w(log_w, model.params.d)
 
 
-def _log_feature(model: SpinModel, region: Iterable[int]) -> float:
-    """ln W(region); finite where W itself underflows."""
+def log_entanglement_feature(model: SpinModel, region: Iterable[int]) -> float:
+    """ln of the entanglement feature W(region); finite where W underflows."""
     region = frozenset(region)
-    bdry = set(model.boundary_vertices())
-    bad = region - bdry
+    bad = region - set(model.boundary_vertices())
     if bad:
         raise ValueError(f"region contains non-boundary vertices {sorted(bad)}")
-    log_num = _log_boltzmann_sum(model, tau={v: -1 for v in region})
-    log_den = _log_boltzmann_sum(model)
-    return log_num - log_den
+    return _log_boltzmann_sum(model, {}, dict.fromkeys(region, -1)) - _log_boltzmann_sum(model, {}, {})
 
 
 def entanglement_feature(model: SpinModel, region: Iterable[int]) -> float:
@@ -162,7 +167,7 @@ def entanglement_feature(model: SpinModel, region: Iterable[int]) -> float:
 
     `region` is a set of boundary tiles whose field sign is flipped.
     """
-    return math.exp(_log_feature(model, region))
+    return math.exp(log_entanglement_feature(model, region))
 
 
 def renyi_vs_cut(
@@ -182,7 +187,7 @@ def renyi_vs_cut(
     rows = []
     for d in d_list:
         model_d = SpinModel(g, ModelParams(d), model.boundary_field_mode)
-        log_w = _log_feature(model_d, region) if region else 0.0
+        log_w = log_entanglement_feature(model_d, region) if region else 0.0
         rows.append({"d": d, "renyi_over_log_d": -log_w / math.log(d), "bulkC": bulk})
     return rows
 
@@ -200,15 +205,7 @@ def optimality_check(model: SpinModel, region_legs: SupportMask) -> bool:
         return True
     log_d = math.log(model.params.d)
     bound = k + math.log1p(math.exp(-k * log_d)) / log_d
-    best = -math.inf
-    seen: set[frozenset] = set()
-    for sub in subsets_of(region_legs.sites):
-        if not sub:
-            continue
-        support = SupportMask(region_legs.n, sub)
-        pinned = pinned_for_interval(model.graph, support)
-        if pinned in seen:
-            continue
-        seen.add(pinned)
-        best = max(best, plr_exact(model, support).log_d_norm)
-    return best >= bound
+    supports = (SupportMask(region_legs.n, sub) for sub in subsets_of(region_legs.sites) if sub)
+    pinned_sets = {pinned_for_interval(model.graph, support) for support in supports}
+    log_num = min(_log_boltzmann_sum(model, dict.fromkeys(p, -1), {}) for p in pinned_sets)
+    return (_log_boltzmann_sum(model, {}, {}) - log_num) / log_d >= bound

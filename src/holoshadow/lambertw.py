@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 
 _INV_E = math.exp(-1.0)
+_TOL, _MAX_ITER = 1e-14, 80  # Halley's relative stopping step and its iteration cap
 
 
-def lambert_w(x: float, branch: int = 0, tol: float = 1e-14, max_iter: int = 80) -> float:
+def lambert_w(x: float, branch: int = 0) -> float:
     """Evaluate the real Lambert W function on branch 0 or -1.
 
     Raises ValueError when x is outside the real domain of the requested
@@ -34,7 +35,7 @@ def lambert_w(x: float, branch: int = 0, tol: float = 1e-14, max_iter: int = 80)
         raise ValueError("branch -1 is real only for -1/e <= x < 0")
 
     w = _initial_guess(x, branch)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - x
         # Halley step: f' = (w+1)e^w, f'' = (w+2)e^w
@@ -44,7 +45,7 @@ def lambert_w(x: float, branch: int = 0, tol: float = 1e-14, max_iter: int = 80)
         w_next = w - f / denom
         if not math.isfinite(w_next):
             break
-        if abs(w_next - w) <= tol * (1.0 + abs(w_next)):
+        if abs(w_next - w) <= _TOL * (1.0 + abs(w_next)):
             w = w_next
             break
         w = w_next

@@ -1,12 +1,15 @@
-"""Shared fixtures: generated graphs and cut sweeps checked against max-flow.
+"""Shared fixtures: generated graphs, cut sweeps checked against max-flow,
+and the enumeration oracle for the Ising sums.
 
-The cross-check oracle is scipy's max-flow, independent of the package's
-own solvers.  It solves many pinned sets per call, as disjoint copies of
-the graph between one shared source and sink, so that the larger sweeps
-are checked in seconds.  Those sweeps are built once per session and
+The cut cross-check oracle is scipy's max-flow, independent of the
+package's own solvers.  It solves many pinned sets per call, as disjoint
+copies of the graph between one shared source and sink, so that the larger
+sweeps are checked in seconds.  Those sweeps are built once per session and
 shared between the solver tests and the acceptance suite.  Planar graphs
 other than tilings come from straight-line drawings (``drawn_graph``,
-``random_planar_graph``).
+``random_planar_graph``).  ``enumerated_log_z`` sums the Ising model over
+every spin state with numpy, the oracle for the package's variable
+elimination.
 """
 
 from __future__ import annotations
@@ -75,6 +78,25 @@ def maxflow_cuts(g, mode, pinned_sets):
             assert b + w == m, "max-flow cut does not decompose into boundary plus wall"
             results.append((int(b), int(w), int(m)))
     return results
+
+
+def enumerated_log_z(model, pinned, tau):
+    """ln sum_s exp(-E(s)) over every spin state of the free tiles, with the
+    tiles in ``pinned`` held at their spins and the field signs ``tau``."""
+    g = model.graph
+    free = {v: i for i, v in enumerate(v for v in range(g.n_vertices) if v not in pinned)}
+    states = np.arange(1 << len(free), dtype=np.int64)
+
+    def spin(v):
+        return pinned[v] if v in pinned else 1 - 2 * ((states >> free[v]) & 1)
+
+    minus_energy = np.zeros(len(states))
+    for u, v in g.edges:
+        minus_energy += model.params.J * spin(u) * spin(v)
+    for v in model.boundary_vertices():
+        minus_energy += model.field(v) * tau.get(v, 1) * spin(v)
+    top = minus_energy.max()
+    return float(top + np.log(np.exp(minus_energy - top).sum()))
 
 
 def oracle_sweep(g, mode, intervals):

@@ -2,8 +2,9 @@
 
 Layer conventions: the cut formulas' ring index l counts rings around the
 central tile, so an "l-ring" network is generate_tiling(p, q, l + 1); the
-exhaustive-enumeration criterion pins its graph by the 24-vertex cap to
-generate_tiling(3, 7, 2) (16 tiles).  Run with -s to see the summary lines.
+exact statistical-model criterion keeps to generate_tiling(3, 7, 2) (16
+tiles), small enough for the enumeration oracle in the unit tests to check
+the same sums.  Run with -s to see the summary lines.
 """
 
 import json

@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -162,6 +166,44 @@ class TestGraphPipeline:
         )
         assert doc["W"] == pytest.approx(13 / 14, rel=1e-12)
         assert doc["region_vertices"] == [0]
+
+    def test_ising_ef_underflowing_feature_is_strict_json(self, tmp_path):
+        # W < 1e-380 at d = 10^130: printed as null, its log_d still ~ bulkC = 3
+        jsonschema = pytest.importorskip("jsonschema")
+        from holoshadow import schemas
+
+        gpath, out = tmp_path / "g37.json", tmp_path / "ef.json"
+        hs.generate_tiling(3, 7, 2).save(gpath)
+        args = ["ising", "ef", "--graph", str(gpath), "--d", str(10**130), "--support", "0:6"]
+        assert run(args + ["--out", str(out), "--no-timestamp"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        jsonschema.validate(doc, schemas.load("result"))
+        assert doc["W"] is None
+        assert doc["minus_log_d_W"] == pytest.approx(3.0, abs=1e-9)
+
+    def test_ising_runs_without_numpy(self, tmp_path):
+        # the package's runtime needs only the standard library
+        script = (
+            "import sys\n"
+            "from holoshadow.cli import run\n"
+            "g, out = sys.argv[1], sys.argv[2]\n"
+            "assert run(['tiling', 'gen', '--p', '3', '--q', '7', '--layers', '2', '--out', g]) == 0\n"
+            "for cmd in ('plr', 'ef'):\n"
+            "    assert run(['ising', cmd, '--graph', g, '--d', '2', '--support', '0:3', '--out', out]) == 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = str(Path(hs.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "g.json"), str(tmp_path / "out.json")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestGeom:

@@ -14,6 +14,7 @@ from holoshadow.core import (
     plr_from_ef,
     subsets_of,
 )
+from holoshadow.tree import TreeSpec, ef_table
 
 
 def shadow_norm(w):
@@ -119,6 +120,15 @@ class TestPlrFromEf:
         support = SupportMask(4, frozenset({0, 1}))
         with pytest.raises(ValueError, match="missing subset"):
             plr_from_ef(support, {frozenset(): 1.0}, 2)
+
+    @pytest.mark.parametrize("d", [10**20, 10**40])
+    def test_float_path_beyond_double_range(self, d):
+        # (d^2-1)^4 = 10^320 at d = 10^40 overflows a double; w ~ d^-4 does not
+        support = SupportMask.interval(4, 0, 4)
+        exact_table = ef_table(support, TreeSpec(4, d), exact=True)
+        float_table = {b: float(v) for b, v in exact_table.items()}
+        want = float(plr_from_ef(support, exact_table, d, exact=True))
+        assert plr_from_ef(support, float_table, d) == pytest.approx(want, rel=1e-12)
 
     def test_subset_cap(self):
         big = SupportMask(32, frozenset(range(21)))

@@ -1,15 +1,28 @@
-"""Exhaustive statistical-model evaluation against closed forms."""
+"""Statistical-model evaluation against closed forms and enumeration."""
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import holoshadow as hs
+from holoshadow.cli import run
 from holoshadow.core import ModelParams, SupportMask, plr_from_ef
 from holoshadow.cuts import min_cut_exact, pinned_for_interval
-from holoshadow.ising import MAX_VERTICES, SpinModel, energy
-from holoshadow.tiling import two_tile_graph
+from holoshadow.ising import MAX_TABLE_ENTRIES, SpinModel, _log_boltzmann_sum, energy
+from holoshadow.tiling import MODES, two_tile_graph
+
+from conftest import enumerated_log_z, random_planar_graph
+
+FIXED_GRAPHS = {
+    "{3,7}x1": hs.generate_tiling(3, 7, 1),  # one tile: legs but no edges
+    "{3,7}x2": hs.generate_tiling(3, 7, 2),
+    "{5,4}x2": hs.generate_tiling(5, 4, 2),
+}
 
 
 @pytest.fixture(scope="module")
@@ -45,11 +58,53 @@ class TestEnergy:
         with pytest.raises(ValueError, match="misses"):
             energy({0: 1}, model)
 
-    def test_vertex_cap(self):
-        g = hs.generate_tiling(3, 7, 3)  # 61 tiles
-        assert g.n_vertices > MAX_VERTICES
-        with pytest.raises(ValueError, match="capped"):
+
+class TestElimination:
+    @given(
+        graph=st.sampled_from([*FIXED_GRAPHS, "random"]),
+        seed=st.integers(0, 2**32 - 1),
+        tiles=st.integers(4, 20),
+        d=st.sampled_from([2, 3, 10**6, 10**200]),
+        mode=st.sampled_from(MODES),
+        pin_rate=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    )
+    @example(graph="{3,7}x2", seed=0, tiles=4, d=10**200, mode="per-leg", pin_rate=1.0)
+    @example(graph="{3,7}x1", seed=0, tiles=4, d=3, mode="per-leg", pin_rate=0.0)
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_matches_enumeration(self, graph, seed, tiles, d, mode, pin_rate):
+        # random pins and field flips, each drawn from the seed
+        rng = random.Random(seed)
+        if graph == "random":
+            g = random_planar_graph(np.random.default_rng(seed), tiles, rng.random() / 2)
+        else:
+            g = FIXED_GRAPHS[graph]
+        model = SpinModel(g, ModelParams(d), mode)
+        pinned = {v: rng.choice((-1, 1)) for v in range(g.n_vertices) if rng.random() < pin_rate}
+        tau = {v: -1 for v in model.boundary_vertices() if rng.random() < 0.5}
+        got = _log_boltzmann_sum(model, pinned, tau)
+        assert abs(got - enumerated_log_z(model, pinned, tau)) <= 1e-9
+
+    def test_cap_limits_cost_not_tiles(self, tmp_path, capsys):
+        # 181 tiles sum in 2,923 table entries; -log_d w closes in on minC
+        g = hs.generate_tiling(3, 7, 4)
+        for start, k in [(0, 3), (5, 8), (20, 20), (40, 43)]:
+            iv = region_interval(g, start, k)
+            cut = min_cut_exact(g, pinned_for_interval(g, iv), "per-vertex").min_cost
+            devs = [
+                abs(hs.plr_exact(SpinModel(g, ModelParams(d), "per-vertex"), iv).log_d_norm - cut)
+                for d in (64, 1024)
+            ]
+            assert devs[1] < devs[0]
+        # {3,7}x7 (3481 tiles) needs about 3.6 million entries
+        gpath = tmp_path / "g37_7.json"
+        assert run(["tiling", "gen", "--p", "3", "--q", "7", "--layers", "7", "--out", str(gpath)]) == 0
+        g = hs.TilingGraph.load(gpath)
+        with pytest.raises(ValueError, match=f"more than {MAX_TABLE_ENTRIES} table entries") as err:
             SpinModel(g, ModelParams(2))
+        assert "\n" not in str(err.value)
+        assert run(["ising", "plr", "--graph", str(gpath), "--d", "2", "--support", "0:3"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: variable elimination")
 
 
 class TestPlrExact:
