@@ -9,11 +9,14 @@ Subcommands mirror the library modules:
     fit ceff                     effective central charge from a sweep CSV
     geom ceff                    continuum c_eff on the Poincare disk
 
-Every run is deterministic given its flags.  CSV outputs begin with a
-"# config: ..." comment carrying the resolved flags (plus a timestamp
-line unless --no-timestamp); JSON results embed the same config object.
-Graph files written by `tiling gen` stay pure schema JSON so they
-round-trip byte-identically through load/save.
+Every run is deterministic given its flags.  Each handler returns its
+result, a dict for JSON or (columns, rows) for CSV, and `run` hands it to
+one writer, `_emit`.  CSV outputs begin with a "# config: ..." comment
+carrying the resolved flags (plus a timestamp line unless
+--no-timestamp); JSON results embed the same config object.  --digits N
+rounds every float to float(f"{v:.Ng}") in both formats.  Graph files
+written by `tiling gen` (its handler returns nothing) stay pure schema
+JSON so they round-trip byte-identically through load/save.
 
 Exit codes: 0 success, 2 usage error, 1 computation error.
 """
@@ -21,16 +24,16 @@ Exit codes: 0 success, 2 usage error, 1 computation error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import operator
 import sys
 import time
 from pathlib import Path
 
 from . import analysis, cuts, ising, tiling, tree
 from .core import ModelParams, PlrResult, SupportMask
-
-CSV_SWEEP_COLUMNS = ("start", "k", "bdryC", "bulkC", "minC")
 
 
 def _parse_support(text: str, n: int, allow_multi: bool = False) -> SupportMask:
@@ -64,6 +67,20 @@ def _parse_d(text: str) -> int | None:
     return d
 
 
+def _parse_digits(text: str) -> int:
+    digits = int(text)
+    if digits < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return digits
+
+
+def _parse_int_list(text: str) -> str:
+    """A comma list of integers, kept as written so the config echoes it."""
+    for part in text.split(","):
+        int(part)
+    return text
+
+
 def _config_dict(args: argparse.Namespace) -> dict:
     skip = {"func", "out", "no_timestamp"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
@@ -76,52 +93,36 @@ def _round_floats(value, digits: int | None):
         return float(f"{value:.{digits}g}")
     if isinstance(value, dict):
         return {k: _round_floats(v, digits) for k, v in value.items()}
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [_round_floats(v, digits) for v in value]
     return value
 
 
-def _emit_json(payload: dict, args: argparse.Namespace) -> None:
-    doc = dict(_round_floats(payload, getattr(args, "digits", None)))
-    doc["config"] = _config_dict(args)
-    if not args.no_timestamp:
-        doc["generated"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n"
-    _write(text, args.out)
-
-
-def _emit_csv(rows, columns: tuple[str, ...], args: argparse.Namespace) -> None:
-    """Stream rows to the sink one line at a time (rows may be any iterable)."""
-    digits = getattr(args, "digits", None)
-
-    def lines():
-        yield f"# config: {json.dumps(_config_dict(args), sort_keys=True)}\n"
-        if not args.no_timestamp:
-            yield "# generated: " + time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()) + "\n"
-        yield ",".join(columns) + "\n"
-        for row in rows:
-            yield ",".join(_fmt(row[c], digits) for c in columns) + "\n"
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.writelines(lines())
+def _emit(result, args: argparse.Namespace, out: str | None) -> None:
+    """Write a handler's result: a dict as one JSON document, or
+    (columns, rows) as CSV with one %s template per row.  --digits rounds
+    every float in either format by the same rule."""
+    result = _round_floats(result, args.digits)
+    config = _config_dict(args)
+    stamp = None if args.no_timestamp else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    if isinstance(result, dict):
+        doc = {**result, "config": config}
+        if stamp:
+            doc["generated"] = stamp
+        lines = [json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n"]
     else:
-        sys.stdout.writelines(lines())
-
-
-def _fmt(value, digits: int | None = None) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return f"{value:.{digits}g}" if digits else repr(value)
-    return str(value)
-
-
-def _write(text: str, out: str | None) -> None:
+        columns, rows = result
+        head = f"# config: {json.dumps(config, sort_keys=True)}\n"
+        if stamp:
+            head += f"# generated: {stamp}\n"
+        template = ",".join(["%s"] * len(columns)) + "\n"
+        cells = operator.itemgetter(*columns)
+        lines = itertools.chain([head, ",".join(columns) + "\n"], (template % cells(row) for row in rows))
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _normal_or_null(x: float) -> float | None:
@@ -141,35 +142,25 @@ def _rate_payload(result: PlrResult) -> dict:
 # subcommand handlers
 
 
-def _cmd_tree_plr(args: argparse.Namespace) -> int:
-    spec = tree.TreeSpec(n=args.n, d=args.d if args.d else 2)
+def _cmd_tree_plr(args: argparse.Namespace) -> dict:
+    spec = tree.TreeSpec(n=args.n, d=args.d or 2)
     support = _parse_support(args.support, args.n, allow_multi=True)
     if args.d is None:
-        cut = tree.tree_large_d_cuts(support, tree.TreeSpec(n=args.n, d=2))
-        payload = {
-            "w": None,
-            "shadow_norm_sq": None,
-            "log_d_norm": cut.min_cost,
-            "bdryC": cut.bdry_cost,
-            "bulkC": cut.bulk_cost,
-        }
-    else:
-        result = tree.plr_tree(support, spec, exact=args.exact)
-        payload = _rate_payload(result)
-        if args.exact:
-            payload["w_exact"] = str(result.w)
-    _emit_json(payload, args)
-    return 0
+        cut = tree.tree_large_d_cuts(support, spec)
+        return {"w": None, "shadow_norm_sq": None, "log_d_norm": cut.min_cost,
+                "bdryC": cut.bdry_cost, "bulkC": cut.bulk_cost}
+    result = tree.plr_tree(support, spec, exact=args.exact)
+    payload = _rate_payload(result)
+    if args.exact:
+        payload["w_exact"] = str(result.w)
+    return payload
 
 
-def _cmd_tree_table(args: argparse.Namespace) -> int:
-    d_values = [int(part) for part in args.d.split(",")]
-    rows = tree.table_rows(d_values)
-    _emit_csv(rows, ("d", "Q", "beta"), args)
-    return 0
+def _cmd_tree_table(args: argparse.Namespace) -> tuple:
+    return ("d", "Q", "beta"), tree.table_rows(int(part) for part in args.d.split(","))
 
 
-def _cmd_tree_crossover(args: argparse.Namespace) -> int:
+def _cmd_tree_crossover(args: argparse.Namespace) -> dict:
     k_lo, k_hi = tree.crossover_kstar(args.d)
     payload = {
         "x": tree.q_series(args.d) + math.log(args.d**2 / (args.d**2 - 1)),
@@ -179,44 +170,32 @@ def _cmd_tree_crossover(args: argparse.Namespace) -> int:
         "k_max": args.k_max,
     }
     if args.csv:
-        rows = tree.crossover_table(args.d, args.k_max)
-        csv_args = argparse.Namespace(**{**vars(args), "out": args.csv})
-        _emit_csv(
-            rows,
-            ("k", "log_tree_norm_sq", "log_shallow_norm_sq", "interpolated"),
-            csv_args,
-        )
-    _emit_json(payload, args)
-    return 0
+        columns = ("k", "log_tree_norm_sq", "log_shallow_norm_sq", "interpolated")
+        _emit((columns, tree.crossover_table(args.d, args.k_max)), args, out=args.csv)
+    return payload
 
 
-def _cmd_tiling_gen(args: argparse.Namespace) -> int:
-    g = tiling.generate_tiling(args.p, args.q, args.layers)
-    g.save(args.out)
-    return 0
+def _cmd_tiling_gen(args: argparse.Namespace) -> None:
+    tiling.generate_tiling(args.p, args.q, args.layers).save(args.out)
 
 
-def _cmd_cut_sweep(args: argparse.Namespace) -> int:
+def _cmd_cut_sweep(args: argparse.Namespace) -> tuple:
     g = tiling.TilingGraph.load(args.graph)
     rows = cuts.cut_sweep(g, mode=args.mode, vertex_aligned_only=args.vertex_aligned)
-    _emit_csv(rows, CSV_SWEEP_COLUMNS, args)
-    return 0
+    return ("start", "k", "bdryC", "bulkC", "minC"), rows
 
 
-def _cmd_ising_plr(args: argparse.Namespace) -> int:
+def _cmd_ising_plr(args: argparse.Namespace) -> dict:
     g = tiling.TilingGraph.load(args.graph)
     support = _parse_support(args.support, g.n_legs)
     if args.d is None:
         result = cuts.plr_large_d(g, support, d=2, mode=args.mode)
-        payload = {"w": None, "shadow_norm_sq": None, "log_d_norm": int(result.log_d_norm)}
-    else:
-        model = ising.SpinModel(g, ModelParams(args.d), boundary_field_mode=args.mode)
-        payload = _rate_payload(ising.plr_exact(model, support))
-    _emit_json(payload, args)
-    return 0
+        return {"w": None, "shadow_norm_sq": None, "log_d_norm": int(result.log_d_norm)}
+    model = ising.SpinModel(g, ModelParams(args.d), boundary_field_mode=args.mode)
+    return _rate_payload(ising.plr_exact(model, support))
 
 
-def _cmd_ising_ef(args: argparse.Namespace) -> int:
+def _cmd_ising_ef(args: argparse.Namespace) -> dict:
     g = tiling.TilingGraph.load(args.graph)
     support = _parse_support(args.support, g.n_legs)
     if args.d is None:
@@ -224,49 +203,45 @@ def _cmd_ising_ef(args: argparse.Namespace) -> int:
     model = ising.SpinModel(g, ModelParams(args.d), boundary_field_mode=args.mode)
     region = cuts.pinned_for_interval(g, support)
     log_w = ising.log_entanglement_feature(model, region)
-    payload = {
+    return {
         "W": _normal_or_null(math.exp(log_w)),
         "minus_log_d_W": -log_w / math.log(args.d),
         "region_vertices": sorted(region),
     }
-    _emit_json(payload, args)
-    return 0
 
 
-def _cmd_fit_ceff(args: argparse.Namespace) -> int:
+def _cmd_fit_ceff(args: argparse.Namespace) -> dict:
     points = []
-    cols: tuple[int, int] | None = None
-    for line in Path(args.csv).read_text(encoding="utf-8").splitlines():
+    header: list[str] | None = None
+    for number, line in enumerate(Path(args.csv).read_text(encoding="utf-8").splitlines(), 1):
         if not line or line.startswith("#"):
             continue
-        if cols is None:
+        if header is None:
             header = line.split(",")
             if "k" not in header or "minC" not in header:
                 raise ValueError(f"{args.csv} has no k,minC header row")
-            cols = (header.index("k"), header.index("minC"))
+            k_col, min_col = header.index("k"), header.index("minC")
             continue
         parts = line.split(",")
-        points.append((int(parts[cols[0]]), float(parts[cols[1]])))
+        if len(parts) != len(header):
+            raise ValueError(f"{args.csv} line {number}: {len(parts)} fields, header has {len(header)}")
+        points.append((int(parts[k_col]), float(parts[min_col])))
     fit = analysis.fit_ceff(points, args.n)
-    payload = {
+    return {
         "c_eff": fit.c_eff,
         "stderr": fit.stderr,
         "residual_rms": fit.residual_rms,
         "n_points": fit.n_points,
         "convention": "cut units (1/ln d absorbed into c_eff)",
     }
-    _emit_json(payload, args)
-    return 0
 
 
-def _cmd_geom_ceff(args: argparse.Namespace) -> int:
-    payload = {
+def _cmd_geom_ceff(args: argparse.Namespace) -> dict:
+    return {
         "c_eff": analysis.ceff_continuous(args.rho, args.phi, args.R),
         "arc_length": analysis.arc_length(args.rho, args.phi, args.R),
         "geodesic": analysis.poincare_geodesic(args.rho, 0.0, args.rho, args.phi, args.R),
     }
-    _emit_json(payload, args)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--out", help="output file (default: stdout)")
-        sub.add_argument(
-            "--no-timestamp",
-            action="store_true",
-            help="omit the timestamp header for byte-identical reruns",
-        )
-        sub.add_argument(
-            "--digits", type=int, default=None, help="significant digits for floats"
-        )
+        sub.add_argument("--no-timestamp", action="store_true", help="omit the timestamp (identical reruns)")
+        sub.add_argument("--digits", type=_parse_digits, help="round floats to this many significant digits")
 
     tree_cmd = top.add_parser("tree", help="binary-tree circuit")
     tree_sub = tree_cmd.add_subparsers(dest="subcommand", required=True)
@@ -310,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tree_plr)
 
     p = tree_sub.add_parser("table", help="Q(d) and beta(d) table")
-    p.add_argument("--d", default="2,3,4,5,10,20", help="comma list of d values")
+    p.add_argument("--d", type=_parse_int_list, default="2,3,4,5,10,20", help="comma list of d values")
     common(p)
     p.set_defaults(func=_cmd_tree_table)
 
@@ -380,10 +349,13 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        result = args.func(args)
+        if result is not None:
+            _emit(result, args, args.out)
     except (ValueError, NotImplementedError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

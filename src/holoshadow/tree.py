@@ -415,14 +415,14 @@ def crossover_table(d: int, k_max: int) -> list[dict]:
     """Per-k comparison rows of tree vs shallow log-norms, k = 1..k_max.
 
     Exact tree values exist only at k = 2^m; intermediate k are filled by
-    exponential (log-linear) interpolation and flagged as such.
+    exponential (log-linear) interpolation and flagged interpolated = 1.
     """
     exact = {1 << m: -_log_w([(True, 1 << (m - 1))], d) for m in range(1, k_max.bit_length())}
     rows = []
     for k in range(2, k_max + 1):
         if k in exact:
             log_tree = exact[k]
-            interpolated = False
+            interpolated = 0
         else:
             lo = 1 << (k.bit_length() - 1)
             hi = lo * 2
@@ -430,7 +430,7 @@ def crossover_table(d: int, k_max: int) -> list[dict]:
                 continue
             t = (math.log(k) - math.log(lo)) / (math.log(hi) - math.log(lo))
             log_tree = (1 - t) * exact[lo] + t * exact[hi]
-            interpolated = True
+            interpolated = 1
         rows.append(
             {
                 "k": k,

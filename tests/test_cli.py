@@ -26,6 +26,11 @@ def run_json(args, tmp_path, name="out.json"):
     return json.loads(out.read_text())
 
 
+def _csv_body(path):
+    """Header and data lines of a CSV written by the CLI, comments dropped."""
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
 class TestTreeCommands:
     def test_plr_value(self, tmp_path):
         doc = run_json(["tree", "plr", "--d", "2", "--n", "4", "--support", "0:4"], tmp_path)
@@ -100,6 +105,7 @@ class TestTreeCommands:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# config:")
         assert lines[1] == "d,Q,beta"
+        assert lines[2] == "2,-0.34022467532480793,2.10789492462401"
         d2 = lines[2].split(",")
         assert float(d2[1]) == pytest.approx(-0.3402, abs=1e-3)
         assert float(d2[2]) == pytest.approx(2.1079, abs=1e-3)
@@ -112,8 +118,10 @@ class TestTreeCommands:
         )
         assert doc["k_numeric"] == 128
         assert doc["k_lo"] < doc["k_hi"]
-        header = [l for l in csv_path.read_text().splitlines() if not l.startswith("#")][0]
-        assert header == "k,log_tree_norm_sq,log_shallow_norm_sq,interpolated"
+        assert _csv_body(csv_path)[:2] == [
+            "k,log_tree_norm_sq,log_shallow_norm_sq,interpolated",
+            "2,1.6094379124341003,2.0794415416798357,0",
+        ]
 
 
 class TestGraphPipeline:
@@ -223,6 +231,41 @@ class TestGeom:
         assert err[0].startswith(f"error: {name} ")
 
 
+class TestWriter:
+    @pytest.mark.parametrize("p,q,layers", [(3, 7, 3), (5, 4, 2)])
+    @pytest.mark.parametrize("mode", ["per-leg", "per-vertex"])
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_sweep_csv_round_trips(self, tmp_path, p, q, layers, mode, aligned):
+        gpath, spath = tmp_path / "g.json", tmp_path / "s.csv"
+        g = hs.generate_tiling(p, q, layers)
+        g.save(gpath)
+        flags = ["--vertex-aligned"] if aligned else []
+        assert run(["cut", "sweep", "--graph", str(gpath), "--mode", mode, *flags, "--out", str(spath)]) == 0
+        header, *lines = _csv_body(spath)
+        columns = header.split(",")
+        parsed = [dict(zip(columns, map(int, line.split(",")))) for line in lines]
+        rows = hs.cut_sweep(g, mode=mode, vertex_aligned_only=aligned)
+        assert parsed == rows
+
+        doc = run_json(["fit", "ceff", "--csv", str(spath), "--N", str(g.n_legs)], tmp_path, "fit.json")
+        fit = hs.fit_ceff([(row["k"], row["minC"]) for row in rows], g.n_legs)
+        assert (doc["c_eff"], doc["stderr"], doc["residual_rms"], doc["n_points"]) == (
+            fit.c_eff, fit.stderr, fit.residual_rms, fit.n_points
+        )
+
+    def test_digits_rounds_csv_by_the_json_rule(self, tmp_path):
+        plain, rounded = tmp_path / "plain.csv", tmp_path / "rounded.csv"
+        args = ["tree", "crossover", "--d", "3", "--k-max", "64"]
+        run_json(args + ["--csv", str(plain)], tmp_path, "plain.json")
+        run_json(args + ["--csv", str(rounded), "--digits", "3"], tmp_path, "rounded.json")
+        (header, *before), (_, *after) = _csv_body(plain), _csv_body(rounded)
+        assert len(before) == len(after) == 63
+        for old, new in zip(before, after):
+            k, log_tree, log_shallow, flag = old.split(",")
+            rule = [str(float(f"{float(v):.3g}")) for v in (log_tree, log_shallow)]
+            assert new.split(",") == [k, *rule, flag]
+
+
 class TestErrors:
     def test_usage_error_is_2(self):
         assert run(["tree", "plr", "--nonsense"]) == 2
@@ -230,6 +273,9 @@ class TestErrors:
         assert run(["cut", "sweep", "--graph", "g.json", "--workers", "2"]) == 2
         assert run(["cut", "sweep", "--graph", "g.json", "--oracle", "maxflow"]) == 2
         assert run(["fit", "ceff", "--csv", "s.csv", "--N", "12", "--d", "2"]) == 2
+        assert run(["tree", "table", "--d", "2,x"]) == 2
+        for digits in ("0", "-1"):
+            assert run(["geom", "ceff", "--rho", "0.9", "--phi", "pi", "--digits", digits]) == 2
 
     def test_computation_error_is_1(self, tmp_path, capsys):
         out = tmp_path / "x.json"
@@ -246,6 +292,14 @@ class TestErrors:
         code = run(["ising", "plr", "--graph", str(gpath), "--d", "2", "--support", "0:1,2:1"])
         assert code == 1
         assert "tree-only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row,fields", [("5", 1), ("5,2,9", 3)])
+    def test_fit_rejects_ragged_rows(self, tmp_path, capsys, row, fields):
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"# config: {{}}\nk,minC\n1,2\n{row}\n3,4\n")
+        assert run(["fit", "ceff", "--csv", str(path), "--N", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path} line 4: {fields} fields, header has 2\n"
 
 
 def _split_a_tile(data):
