@@ -9,7 +9,7 @@ by variable elimination.
 from .analysis import FitResult, arc_length, ceff_approx, ceff_continuous, fit_ceff, poincare_geodesic
 from .core import ModelParams, PlrResult, SupportMask, WVector, plr_from_ef
 from .cuts import CutResult, bulk_geodesic, cut_sweep, min_cut_exact, plr_large_d
-from .ising import SpinModel, energy, entanglement_feature, optimality_check, plr_exact, renyi_vs_cut
+from .ising import SpinModel, entanglement_feature, optimality_check, plr_exact, renyi_vs_cut
 from .lambertw import lambert_w
 from .tiling import DualGraph, TilingGraph, boundary_size, dual_graph, generate_tiling, two_tile_graph
 from .tree import (

@@ -34,11 +34,15 @@ def fit_ceff(points: Sequence[tuple[float, float]], n_boundary: int) -> FitResul
 
     Fits log_d_norm - k = c_eff * ln(min(k, N-k)) through the origin;
     k = 0 and k = N points are discarded (the regressor is undefined there).
+    A point outside 0 <= k <= N raises ValueError: N is smaller than the
+    swept graph's leg count.
     """
     xs: list[float] = []
     ys: list[float] = []
     for k, log_d_norm in points:
         if k <= 0 or k >= n_boundary:
+            if k < 0 or k > n_boundary:
+                raise ValueError(f"point with k = {k} lies outside 0..N = 0..{n_boundary}")
             continue
         xs.append(math.log(min(k, n_boundary - k)))
         ys.append(log_d_norm - k)

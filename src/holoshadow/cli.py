@@ -36,12 +36,9 @@ from . import analysis, cuts, ising, tiling, tree
 from .core import ModelParams, PlrResult, SupportMask
 
 
-def _parse_support(text: str, n: int, allow_multi: bool = False) -> SupportMask:
-    parts = text.split(",")
-    if len(parts) > 1 and not allow_multi:
-        raise ValueError("multi-interval supports (comma lists) are tree-only")
+def _parse_support(text: str, n: int) -> SupportMask:
     mask = SupportMask.empty(n)
-    for part in parts:
+    for part in text.split(","):
         try:
             start_s, len_s = part.split(":")
             start, length = int(start_s), int(len_s)
@@ -144,7 +141,7 @@ def _rate_payload(result: PlrResult) -> dict:
 
 def _cmd_tree_plr(args: argparse.Namespace) -> dict:
     spec = tree.TreeSpec(n=args.n, d=args.d or 2)
-    support = _parse_support(args.support, args.n, allow_multi=True)
+    support = _parse_support(args.support, args.n)
     if args.d is None:
         cut = tree.tree_large_d_cuts(support, spec)
         return {"w": None, "shadow_norm_sq": None, "log_d_norm": cut.min_cost,
@@ -317,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = ising_sub.add_parser(name, help=help_text)
         p.add_argument("--graph", required=True)
         p.add_argument("--d", type=_parse_d, required=True, help="bond dimension, or 'inf'")
-        p.add_argument("--support", required=True, help="START:LEN over boundary legs")
+        p.add_argument("--support", required=True, help="START:LEN[,START:LEN...] over boundary legs")
         p.add_argument("--mode", choices=tiling.MODES, default="per-vertex")
         common(p)
         p.set_defaults(func=func)

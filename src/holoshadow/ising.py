@@ -5,16 +5,19 @@ Each tile of a TilingGraph carries an Ising spin; a configuration costs
     E(s) = -J sum_edges s_u s_v - sum_bdry h_v s_v,        J = h = ln(d)/2,
 
 with h_v = h per boundary tile ("per-vertex") or h times its leg count
-("per-leg").  Exact Boltzmann sums over all configurations then give:
+("per-leg").  A SpinModel derives its field costs, elimination order and
+free sum ln Z once, when it is built; each quantity below is then one more
+Boltzmann sum, over any set of support legs, not only intervals:
 
 * ``plr_exact``            -- the pinned-spin learning rate: the Boltzmann
   sum with all tiles owning support legs forced to -1, over the free sum;
 * ``entanglement_feature`` -- the partition-function ratio with the
   boundary field sign flipped on a region of tiles (and its log);
 * ``renyi_vs_cut``         -- -log_d W against the bulk geodesic, which it
-  approaches as d grows;
+  approaches as d grows; d enters only as the coupling;
 * ``optimality_check``     -- whether min_supp w <= 1/(d^|region|+1), the
-  bound any measurement scheme must satisfy at leg granularity.
+  bound any measurement scheme must satisfy at leg granularity, checked on
+  the full region alone, since pinning more tiles only lowers the rate.
 
 These are annealed averages (ratios of ensemble averages), exact for the
 Gaussian tensor ensemble average of numerator and denominator separately
@@ -25,13 +28,12 @@ so its cost, which the cap bounds, grows with that order's width, not N.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import ModelParams, PlrResult, SupportMask, subsets_of
+from .core import ModelParams, PlrResult, SupportMask
 from .cuts import bulk_geodesic, pinned_for_interval
 from .tiling import TilingGraph, dual_graph
 
@@ -47,17 +49,17 @@ class SpinModel:
     graph: TilingGraph
     params: ModelParams
     boundary_field_mode: str = "per-vertex"
+    #: per-tile field in units of h: the mode's boundary cost, 0 off the rim
+    field_costs: tuple[int, ...] = field(init=False, repr=False, compare=False)
     #: the tiles in min-degree elimination order, ties broken by tile id
-    order: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
+    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: ln Z, the free sum: no pins, no field flips
+    log_z: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "field_costs", self.graph.boundary_cost(self.boundary_field_mode))
         object.__setattr__(self, "order", _elimination_order(self.graph))
-
-    def field(self, v: int) -> float:
-        return self.graph.boundary_cost(self.boundary_field_mode)[v] * self.params.h
-
-    def boundary_vertices(self) -> list[int]:
-        return [v for v in range(self.graph.n_vertices) if self.graph.boundary_legs[v]]
+        object.__setattr__(self, "log_z", _log_boltzmann_sum(self, self.params.h, {}, {}))
 
 
 def _elimination_order(g: TilingGraph) -> tuple[int, ...]:
@@ -90,22 +92,11 @@ def _elimination_order(g: TilingGraph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def energy(config: Mapping[int, int], model: SpinModel) -> float:
-    """E(s) of a full spin assignment (vertex -> +-1)."""
-    g = model.graph
-    for v in range(g.n_vertices):
-        if v not in config:
-            raise ValueError(f"configuration misses vertex {v}")
-        if config[v] not in (-1, 1):
-            raise ValueError(f"spin of vertex {v} must be +-1")
-    j = model.params.J
-    total = -j * sum(config[u] * config[v] for u, v in g.edges)
-    total -= sum(model.field(v) * config[v] for v in model.boundary_vertices())
-    return total
-
-
-def _log_boltzmann_sum(model: SpinModel, pinned: Mapping[int, int], tau: Mapping[int, int]) -> float:
-    """ln sum_s exp(-E(s)) with some spins pinned and field signs tau.
+def _log_boltzmann_sum(
+    model: SpinModel, coupling: float, pinned: Mapping[int, int], tau: Mapping[int, int]
+) -> float:
+    """ln sum_s exp(-E(s)) at J = h = coupling, with some spins pinned and
+    field signs tau.
 
     A factor is (scope in elimination order, table of log-weights) and waits
     in the bucket of its first tile; bit i of a table index is the spin of
@@ -113,8 +104,8 @@ def _log_boltzmann_sum(model: SpinModel, pinned: Mapping[int, int], tau: Mapping
     """
     rank = {v: i for i, v in enumerate(model.order)}
     # -E(s) as coefficients times products of spins; pins fold into them
-    terms = [((u, v), model.params.J) for u, v in model.graph.edges]
-    terms += [((v,), model.field(v) * tau.get(v, 1)) for v in model.boundary_vertices()]
+    terms = [((u, v), coupling) for u, v in model.graph.edges]
+    terms += [((v,), cost * coupling * tau.get(v, 1)) for v, cost in enumerate(model.field_costs) if cost]
     const = 0.0
     linear = [0.0] * model.graph.n_vertices
     buckets = {v: [] for v in model.order if v not in pinned}
@@ -149,17 +140,17 @@ def _log_boltzmann_sum(model: SpinModel, pinned: Mapping[int, int], tau: Mapping
 def plr_exact(model: SpinModel, support: SupportMask) -> PlrResult:
     """Pinned-spin learning rate: tiles owning support legs forced to -1."""
     pinned = dict.fromkeys(pinned_for_interval(model.graph, support), -1)
-    log_w = _log_boltzmann_sum(model, pinned, {}) - _log_boltzmann_sum(model, {}, {})
+    log_w = _log_boltzmann_sum(model, model.params.h, pinned, {}) - model.log_z
     return PlrResult.from_log_w(log_w, model.params.d)
 
 
 def log_entanglement_feature(model: SpinModel, region: Iterable[int]) -> float:
     """ln of the entanglement feature W(region); finite where W underflows."""
     region = frozenset(region)
-    bad = region - set(model.boundary_vertices())
+    bad = sorted(v for v in region if v not in range(len(model.field_costs)) or not model.field_costs[v])
     if bad:
-        raise ValueError(f"region contains non-boundary vertices {sorted(bad)}")
-    return _log_boltzmann_sum(model, {}, dict.fromkeys(region, -1)) - _log_boltzmann_sum(model, {}, {})
+        raise ValueError(f"region contains non-boundary vertices {bad}")
+    return _log_boltzmann_sum(model, model.params.h, {}, dict.fromkeys(region, -1)) - model.log_z
 
 
 def entanglement_feature(model: SpinModel, region: Iterable[int]) -> float:
@@ -176,18 +167,21 @@ def renyi_vs_cut(
     """Tabulate -log_d W(region) against the bulk geodesic for each d.
 
     The difference converges to zero as d grows; the empty interval maps
-    to (0, 0) at every d.
+    to (0, 0) at every d.  The model gives the graph, mode and order, not
+    d: each d is two sums at its own coupling.
     """
     g = model.graph
     if interval.is_empty:
         bulk = 0
     else:
         bulk = bulk_geodesic(g, dual_graph(g), interval)
-    region = pinned_for_interval(g, interval)
+    tau = dict.fromkeys(pinned_for_interval(g, interval), -1)
     rows = []
     for d in d_list:
-        model_d = SpinModel(g, ModelParams(d), model.boundary_field_mode)
-        log_w = log_entanglement_feature(model_d, region) if region else 0.0
+        coupling = ModelParams(d).h
+        log_w = 0.0
+        if tau:
+            log_w = _log_boltzmann_sum(model, coupling, {}, tau) - _log_boltzmann_sum(model, coupling, {}, {})
         rows.append({"d": d, "renyi_over_log_d": -log_w / math.log(d), "bulkC": bulk})
     return rows
 
@@ -195,17 +189,18 @@ def renyi_vs_cut(
 def optimality_check(model: SpinModel, region_legs: SupportMask) -> bool:
     """Does some Pauli inside the region have w <= 1/(d^|region| + 1)?
 
-    Compared in log_d space, -log_d w >= k + log_d(1 + d^-k), so that no d
-    overflows.  Vacuously true for the empty region.  Can fail in per-vertex
-    mode for regions not covering all legs of a tile, where the pinned-spin
-    rate floors at the tile level.
+    Every non-empty sub-support pins a subset of the region's tiles, and
+    pinning fewer tiles sums over more configurations of positive weight,
+    so the least rate is the region's own: one pinned sum.  Compared in
+    log_d space, -log_d w >= k + log_d(1 + d^-k), so that no d overflows.
+    Vacuously true for the empty region.  Can fail in per-vertex mode for
+    regions not covering all legs of a tile, where the pinned-spin rate
+    floors at the tile level.
     """
     k = region_legs.k
     if k == 0:
         return True
     log_d = math.log(model.params.d)
     bound = k + math.log1p(math.exp(-k * log_d)) / log_d
-    supports = (SupportMask(region_legs.n, sub) for sub in subsets_of(region_legs.sites) if sub)
-    pinned_sets = {pinned_for_interval(model.graph, support) for support in supports}
-    log_num = min(_log_boltzmann_sum(model, dict.fromkeys(p, -1), {}) for p in pinned_sets)
-    return (_log_boltzmann_sum(model, {}, {}) - log_num) / log_d >= bound
+    pinned = dict.fromkeys(pinned_for_interval(model.graph, region_legs), -1)
+    return (model.log_z - _log_boltzmann_sum(model, model.params.h, pinned, {})) / log_d >= bound

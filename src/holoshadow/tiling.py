@@ -455,16 +455,11 @@ def boundary_size(p: int, q: int, layers: int) -> int:
 
 
 def transfer_matrix(p: int, q: int) -> list[list[int]]:
-    """2x2 layer-transfer matrix on rim-vertex type counts."""
-    if p == 3:
-        # types (t=2, t=3) with q-4 and q-5 fan tiles; each rim edge
-        # promotes one fresh vertex to a t=3 apex
-        return [[q - 5, q - 6], [1, 1]]
-    # types (t=1, t=2) with q-3 and q-4 fan tiles
-    return [
-        [(p - 4) + (p - 3) * (q - 3), (p - 4) + (p - 3) * (q - 4)],
-        [1 + (q - 3), 1 + (q - 4)],
-    ]
+    """2x2 layer-transfer matrix on rim-vertex type counts: column j is one
+    ``_type_step`` of the census holding a single rim vertex of type j."""
+    types = (2, 3) if p == 3 else (1, 2)
+    columns = [_type_step(p, q, {t: 1}) for t in types]
+    return [[column.get(t, 0) for column in columns] for t in types]
 
 
 def inflation_growth_rate(p: int, q: int) -> float:

@@ -82,8 +82,12 @@ def maxflow_cuts(g, mode, pinned_sets):
 
 def enumerated_log_z(model, pinned, tau):
     """ln sum_s exp(-E(s)) over every spin state of the free tiles, with the
-    tiles in ``pinned`` held at their spins and the field signs ``tau``."""
+    tiles in ``pinned`` held at their spins and the field signs ``tau``.
+    Each tile's field is read from its legs here, not from the model."""
     g = model.graph
+    mode = model.boundary_field_mode
+    assert mode in ("per-vertex", "per-leg"), mode
+    coupling = math.log(model.params.d) / 2
     free = {v: i for i, v in enumerate(v for v in range(g.n_vertices) if v not in pinned)}
     states = np.arange(1 << len(free), dtype=np.int64)
 
@@ -92,9 +96,11 @@ def enumerated_log_z(model, pinned, tau):
 
     minus_energy = np.zeros(len(states))
     for u, v in g.edges:
-        minus_energy += model.params.J * spin(u) * spin(v)
-    for v in model.boundary_vertices():
-        minus_energy += model.field(v) * tau.get(v, 1) * spin(v)
+        minus_energy += coupling * spin(u) * spin(v)
+    for v, legs in enumerate(g.boundary_legs):
+        if legs:
+            field = coupling * (len(legs) if mode == "per-leg" else 1)
+            minus_energy += field * tau.get(v, 1) * spin(v)
     top = minus_energy.max()
     return float(top + np.log(np.exp(minus_energy - top).sum()))
 

@@ -32,6 +32,12 @@ class TestFitCeff:
         assert fit.c_eff == pytest.approx(1.5, abs=1e-10)
         assert fit.n_points == 63
 
+    @pytest.mark.parametrize("k", [-1, 65])
+    def test_rejects_k_outside_boundary(self, k):
+        # a k > N row means N is not the swept graph's leg count
+        with pytest.raises(ValueError, match=f"k = {k} lies outside 0..N = 0..64"):
+            fit_ceff(synthetic_points(64, 2.0) + [(k, 3.0)], 64)
+
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="two usable"):
             fit_ceff([(3, 4.0)], 8)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import holoshadow as hs
 from holoshadow.cli import run
+from holoshadow.cuts import pinned_for_interval
 from holoshadow.tiling import two_tile_graph
 from holoshadow.tree import MAX_EXACT_BITS
 
@@ -165,6 +166,25 @@ class TestGraphPipeline:
         )
         assert (doc["w"], doc["shadow_norm_sq"], doc["log_d_norm"]) == (None, None, 2)
 
+    @pytest.mark.parametrize("command,d", [("plr", "2"), ("plr", "inf"), ("ef", "2")])
+    def test_ising_union_matches_library(self, tmp_path, command, d):
+        gpath = tmp_path / "g37.json"
+        g = hs.generate_tiling(3, 7, 4)
+        g.save(gpath)
+        doc = run_json(["ising", command, "--graph", str(gpath), "--d", d, "--support", "0:3,40:5"], tmp_path)
+        mask = hs.SupportMask.interval(g.n_legs, 0, 3).union(hs.SupportMask.interval(g.n_legs, 40, 5))
+        if d == "inf":
+            assert doc["log_d_norm"] == hs.plr_large_d(g, mask, d=2, mode="per-vertex").log_d_norm
+            assert doc["log_d_norm"] == hs.min_cut_exact(g, pinned_for_interval(g, mask), "per-vertex").min_cost
+            return
+        model = hs.SpinModel(g, hs.ModelParams(2), "per-vertex")
+        if command == "plr":
+            assert doc["log_d_norm"] == hs.plr_exact(model, mask).log_d_norm
+        else:
+            region = pinned_for_interval(g, mask)
+            assert doc["region_vertices"] == sorted(region)
+            assert doc["W"] == hs.entanglement_feature(model, region)
+
     def test_ising_ef(self, tmp_path):
         gpath = tmp_path / "tt.json"
         two_tile_graph(3).save(gpath)
@@ -286,12 +306,13 @@ class TestErrors:
     def test_missing_graph_file(self, tmp_path):
         assert run(["cut", "sweep", "--graph", str(tmp_path / "nope.json")]) == 1
 
-    def test_comma_supports_are_tree_only(self, tmp_path, capsys):
-        gpath = tmp_path / "tt.json"
-        two_tile_graph(3).save(gpath)
-        code = run(["ising", "plr", "--graph", str(gpath), "--d", "2", "--support", "0:1,2:1"])
-        assert code == 1
-        assert "tree-only" in capsys.readouterr().err
+    def test_fit_rejects_n_below_leg_count(self, tmp_path, capsys):
+        # the 33-leg sweep has rows up to k = 33; --N 20 would drop them silently
+        gpath, spath = tmp_path / "g37.json", tmp_path / "sweep.csv"
+        assert run(["tiling", "gen", "--p", "3", "--q", "7", "--layers", "3", "--out", str(gpath)]) == 0
+        assert run(["cut", "sweep", "--graph", str(gpath), "--out", str(spath)]) == 0
+        assert run(["fit", "ceff", "--csv", str(spath), "--N", "20"]) == 1
+        assert capsys.readouterr().err == "error: point with k = 21 lies outside 0..N = 0..20\n"
 
     @pytest.mark.parametrize("row,fields", [("5", 1), ("5,2,9", 3)])
     def test_fit_rejects_ragged_rows(self, tmp_path, capsys, row, fields):

@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 
 import holoshadow as hs
 from holoshadow.cli import run
-from holoshadow.core import ModelParams, SupportMask, plr_from_ef
+from holoshadow import ising
+from holoshadow.core import ModelParams, SupportMask, plr_from_ef, subsets_of
 from holoshadow.cuts import min_cut_exact, pinned_for_interval
-from holoshadow.ising import MAX_TABLE_ENTRIES, SpinModel, _log_boltzmann_sum, energy
+from holoshadow.ising import MAX_TABLE_ENTRIES, SpinModel, _log_boltzmann_sum
 from holoshadow.tiling import MODES, two_tile_graph
 
 from conftest import enumerated_log_z, random_planar_graph
+
+OPTIMALITY_GRAPHS = {pqn: hs.generate_tiling(*pqn) for pqn in [(3, 7, 2), (3, 7, 3), (5, 4, 2)]}
 
 FIXED_GRAPHS = {
     "{3,7}x1": hs.generate_tiling(3, 7, 1),  # one tile: legs but no edges
@@ -34,29 +37,40 @@ def region_interval(g, start, length):
     return SupportMask.interval(g.n_legs, start, length)
 
 
-class TestEnergy:
-    def test_two_tile_configurations(self, two_tile):
-        model = SpinModel(two_tile, ModelParams(2), "per-vertex")
-        j, h = model.params.J, model.params.h
-        assert energy({0: 1, 1: 1}, model) == pytest.approx(-j - 2 * h)
-        assert energy({0: -1, 1: 1}, model) == pytest.approx(j)
-        assert energy({0: 1, 1: -1}, model) == pytest.approx(j)
-        assert energy({0: -1, 1: -1}, model) == pytest.approx(-j + 2 * h)
-
-    def test_per_leg_field_counts_legs(self, two_tile):
-        model = SpinModel(two_tile, ModelParams(2), "per-leg")
-        j, h = model.params.J, model.params.h
-        assert energy({0: 1, 1: 1}, model) == pytest.approx(-j - 4 * h)
-
+class TestSpinModel:
     def test_unknown_field_mode(self, two_tile):
-        model = SpinModel(two_tile, ModelParams(2), "per-edge")
         with pytest.raises(ValueError, match="mode must be one of"):
-            energy({0: 1, 1: 1}, model)
+            SpinModel(two_tile, ModelParams(2), "per-edge")
 
-    def test_missing_vertex(self, two_tile):
-        model = SpinModel(two_tile, ModelParams(2))
-        with pytest.raises(ValueError, match="misses"):
-            energy({0: 1}, model)
+    def test_one_sum_per_query(self, monkeypatch):
+        # the free sum and the order are derived once, at construction
+        g = hs.generate_tiling(3, 7, 3)
+        counts = {"sum": 0, "order": 0}
+
+        def counted(name, func):
+            def wrapper(*args):
+                counts[name] += 1
+                return func(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(ising, "_elimination_order", counted("order", ising._elimination_order))
+        model = SpinModel(g, ModelParams(3), "per-leg")
+        monkeypatch.setattr(ising, "_log_boltzmann_sum", counted("sum", ising._log_boltzmann_sum))
+        support = SupportMask.interval(g.n_legs, 2, 7)
+        region = pinned_for_interval(g, support)
+        for query in (
+            lambda: hs.plr_exact(model, support),
+            lambda: ising.log_entanglement_feature(model, region),
+            lambda: hs.optimality_check(model, support),
+        ):
+            counts["sum"] = 0
+            query()
+            assert counts["sum"] == 1
+        for d_list in ([2], [2, 3, 10**6, 10**200]):
+            counts["order"] = 0
+            hs.renyi_vs_cut(SpinModel(g, ModelParams(2), "per-vertex"), support, d_list)
+            assert counts["order"] == 1
 
 
 class TestElimination:
@@ -80,8 +94,8 @@ class TestElimination:
             g = FIXED_GRAPHS[graph]
         model = SpinModel(g, ModelParams(d), mode)
         pinned = {v: rng.choice((-1, 1)) for v in range(g.n_vertices) if rng.random() < pin_rate}
-        tau = {v: -1 for v in model.boundary_vertices() if rng.random() < 0.5}
-        got = _log_boltzmann_sum(model, pinned, tau)
+        tau = {v: -1 for v in range(g.n_vertices) if g.boundary_legs[v] and rng.random() < 0.5}
+        got = _log_boltzmann_sum(model, model.params.h, pinned, tau)
         assert abs(got - enumerated_log_z(model, pinned, tau)) <= 1e-9
 
     def test_cap_limits_cost_not_tiles(self, tmp_path, capsys):
@@ -235,6 +249,38 @@ class TestOptimalityBound:
         model = SpinModel(g, ModelParams(10**200), "per-leg")
         assert hs.optimality_check(model, region_interval(g, 0, 6)) is True
 
+    @given(
+        graph=st.sampled_from([(3, 7, 2), (3, 7, 3), (5, 4, 2)]),
+        mode=st.sampled_from(MODES),
+        d=st.sampled_from([2, 3, 10**6]),
+        k=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_full_support_is_least_rate(self, graph, mode, d, k, seed):
+        # the definition: the least rate over every non-empty sub-support
+        g = OPTIMALITY_GRAPHS[graph]
+        model = SpinModel(g, ModelParams(d), mode)
+        region = SupportMask(g.n_legs, frozenset(random.Random(seed).sample(range(g.n_legs), k)))
+
+        def log_pinned(tiles):
+            return _log_boltzmann_sum(model, model.params.h, dict.fromkeys(tiles, -1), {})
+
+        subs = {pinned_for_interval(g, SupportMask(g.n_legs, sub)) for sub in subsets_of(region.sites) if sub}
+        log_num = min(map(log_pinned, subs))
+        assert log_num == pytest.approx(log_pinned(pinned_for_interval(g, region)), rel=1e-12, abs=1e-12)
+        log_d = math.log(d)
+        bound = k + math.log1p(math.exp(-k * log_d)) / log_d
+        assert hs.optimality_check(model, region) == ((model.log_z - log_num) / log_d >= bound)
+
+    def test_large_region_answers(self):
+        # 21 of 33 legs: 2^21 sub-supports, one pinned sum
+        g = hs.generate_tiling(3, 7, 3)
+        model = SpinModel(g, ModelParams(2), "per-leg")
+        region = region_interval(g, 5, 21)
+        bound = 21 + math.log2(1 + 2.0**-21)
+        assert hs.optimality_check(model, region) is (hs.plr_exact(model, region).log_d_norm >= bound)
+
 
 class TestEfRouteLeadingOrder:
     def test_leg_formula_on_model_features_agrees_at_large_d(self, two_tile):
@@ -245,8 +291,6 @@ class TestEfRouteLeadingOrder:
         model = SpinModel(two_tile, ModelParams(d), "per-leg")
         support = region_interval(two_tile, 2, 2)
         ef = {}
-        from holoshadow.core import subsets_of
-
         for b in subsets_of(support.sites):
             region = frozenset(two_tile.owners[j] for j in b)
             ef[b] = hs.entanglement_feature(model, region)

@@ -149,6 +149,17 @@ class TestBoundaryGrowth:
             ratio = boundary_size(p, q, layers + 1) / boundary_size(p, q, layers)
             assert abs(ratio / rate - 1) < 0.02
 
+    @pytest.mark.parametrize("p,q", [(3, 7), (5, 4)])
+    def test_transfer_matrix_steps_the_census(self, p, q):
+        types = (2, 3) if p == 3 else (1, 2)
+        matrix = tiling.transfer_matrix(p, q)
+        counts = {1: p}
+        for _ in range(6):
+            counts = tiling._type_step(p, q, counts)
+            step = tiling._type_step(p, q, counts)
+            census = [counts.get(t, 0) for t in types]
+            assert [sum(a * c for a, c in zip(row, census)) for row in matrix] == [step.get(t, 0) for t in types]
+
     def test_known_eigenvalues(self):
         assert inflation_growth_rate(3, 7) == pytest.approx((3 + 5**0.5) / 2)
         assert inflation_growth_rate(5, 4) == pytest.approx(2 + 3**0.5)
