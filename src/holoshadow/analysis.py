@@ -8,8 +8,9 @@ factor absorbed).  ``fit_ceff`` extracts c_eff from sweep data by least
 squares through the origin in the transformed variable; ``ceff_approx`` is
 the cheap half-boundary estimate (2l+1 or 7l/2+1/2 cut lengths over
 ln(N/2)); the remaining functions give the continuum limit on the
-Poincare disk of radius of curvature R (R > 0, 0 <= rho < 1,
-0 < phi < 2 pi), where c_eff approaches 2R.
+Poincare disk of radius of curvature R (0 < R < inf, 0 <= rho < 1,
+0 < phi < 2 pi), where c_eff approaches 2R.  A result too large for a
+double raises OverflowError naming it.
 """
 
 from __future__ import annotations
@@ -82,28 +83,34 @@ def ceff_approx(l: int, p: int, q: int, n_boundary: int) -> float:
     return numerator / math.log(n_boundary / 2.0)
 
 
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise OverflowError(f"{name} overflows a double")
+    return value
+
+
 def arc_length(rho: float, phi: float, R: float) -> float:
     """Length of the arc at Euclidean radius rho spanning angle phi, on the
     disk of radius of curvature R."""
-    if not R > 0:
-        raise ValueError(f"R (radius of curvature) must be positive, got {R}")
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R (radius of curvature) must be positive and finite, got {R}")
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     if not 0.0 < phi < 2.0 * math.pi:
         raise ValueError(f"phi must lie in (0, 2*pi), got {phi}")
-    return 2.0 * phi * R * rho / (1.0 - rho * rho)
+    return _finite("arc length", 2.0 * phi * R * rho / (1.0 - rho * rho))
 
 
 def poincare_geodesic(rho1: float, phi1: float, rho2: float, phi2: float, R: float) -> float:
     """Geodesic distance between two points of the Poincare disk."""
-    if not R > 0:
-        raise ValueError(f"R (radius of curvature) must be positive, got {R}")
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R (radius of curvature) must be positive and finite, got {R}")
     for rho in (rho1, rho2):
         if not 0.0 <= rho < 1.0:
             raise ValueError("radii must lie in [0, 1)")
     num = rho1 * rho1 + rho2 * rho2 - 2.0 * rho1 * rho2 * math.cos(phi1 - phi2)
     arg = 1.0 + 2.0 * num / ((1.0 - rho1 * rho1) * (1.0 - rho2 * rho2))
-    return R * math.acosh(max(arg, 1.0))
+    return _finite("geodesic", R * math.acosh(max(arg, 1.0)))
 
 
 def ceff_continuous(rho: float, phi: float, R: float) -> float:

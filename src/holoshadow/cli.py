@@ -349,7 +349,7 @@ def run(argv: list[str] | None = None) -> int:
         result = args.func(args)
         if result is not None:
             _emit(result, args, args.out)
-    except (ValueError, NotImplementedError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

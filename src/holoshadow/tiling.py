@@ -3,7 +3,10 @@
 A patch of the {p,q} tiling ((p-2)(q-2) > 4) is grown layer by layer:
 layer 1 is a single central p-gon; each further layer completes every
 frontier vertex of the tiling to its full complement of q incident tiles,
-walking the frontier counterclockwise.  The tensor network places one
+walking the frontier counterclockwise.  That needs every frontier vertex
+to have at most q - 2 tiles, which ``boundary_size`` checks by counting
+before anything is built: q >= 4 tilings grow without limit, q = 3 ones
+stop at two layers.  The tensor network places one
 tensor per tile: tiles sharing a side are connected by a bulk edge, and
 the unshared sides of the outermost tiles dangle as boundary legs, ordered
 cyclically around the rim.
@@ -248,17 +251,15 @@ class _Patch:
     def add_face(self, verts: tuple[int, ...], layer: int) -> None:
         self.face_verts.append(verts)
         self.face_layer.append(layer)
+        for v in verts:
+            self.vert_faces[v] += 1
 
     def inflate(self, q: int, layer: int) -> None:
         p = self.p
         boundary = self.boundary
         m = len(boundary)
-        fans = {}
-        for v in boundary:
-            need = q - self.vert_faces[v] - 2
-            if need < 0:
-                raise ValueError(f"frontier vertex needs {need} tiles; (p,q) not growable")
-            fans[v] = need
+        # boundary_size's census has checked that no fan count is negative
+        fans = {v: q - self.vert_faces[v] - 2 for v in boundary}
 
         placeholder = self.new_vertex()
         pending = placeholder
@@ -286,15 +287,14 @@ class _Patch:
             raise RuntimeError("inflation produced no fresh vertices")
         del self.vert_faces[placeholder]
         for verts in new_faces:
-            face = tuple(pending if v == placeholder else v for v in verts)
-            self.add_face(face, layer)
-            for v in face:
-                self.vert_faces[v] += 1
+            self.add_face(tuple(pending if v == placeholder else v for v in verts), layer)
 
+        # every vertex not on the final rim was closed here, once
         for v in boundary:
             if self.vert_faces[v] != q:
                 raise RuntimeError(f"tiling vertex {v} closed with {self.vert_faces[v]} != q tiles")
-        self.boundary = self._trace_rim()
+        # the layer's fresh vertices, made counterclockwise along its outer rim
+        self.boundary = list(range(placeholder + 1, self._next))
 
     def edge_faces(self) -> dict[frozenset, list[int]]:
         emap: dict[frozenset, list[int]] = {}
@@ -304,42 +304,18 @@ class _Patch:
                 emap.setdefault(key, []).append(f)
         return emap
 
-    def _trace_rim(self) -> list[int]:
-        emap = self.edge_faces()
-        succ: dict[int, int] = {}
-        for verts in self.face_verts:
-            n = len(verts)
-            for i in range(n):
-                u, v = verts[i], verts[(i + 1) % n]
-                if len(emap[frozenset((u, v))]) == 1:
-                    if u in succ:
-                        raise RuntimeError("rim is not a simple cycle")
-                    succ[u] = v
-        if not succ:
-            raise RuntimeError("patch has no rim")
-        start = min(succ)
-        cycle = [start]
-        v = succ[start]
-        while v != start:
-            cycle.append(v)
-            v = succ[v]
-        if len(cycle) != len(succ):
-            raise RuntimeError("rim has more than one cycle")
-        return cycle
-
 
 def generate_tiling(p: int, q: int, layers: int) -> TilingGraph:
     """Grow a layers-deep {p,q} patch and return its tensor-network graph.
 
-    Raises ValueError for non-hyperbolic (p,q) or oversized requests and
-    NotImplementedError for tilings outside the supported set.
+    Every hyperbolic tiling grows, as far as ``boundary_size``'s census can
+    complete each rim vertex; ValueError for anything else (p or q below 3,
+    (p-2)(q-2) <= 4, layers past that reach or past the size budget).
     """
+    if p < 3 or q < 3:
+        raise ValueError(f"{{{p},{q}}} is not a tiling: p and q must be at least 3")
     if (p - 2) * (q - 2) <= 4:
         raise ValueError(f"{{{p},{q}}} is not hyperbolic: (p-2)(q-2) = {(p - 2) * (q - 2)} <= 4")
-    if (p, q) not in ((3, 7), (5, 4)):
-        raise NotImplementedError(f"only {{3,7}} and {{5,4}} tilings are supported, got {{{p},{q}}}")
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
     if boundary_size(p, q, layers) > MAX_BOUNDARY:
         raise ValueError(f"a {layers}-layer {{{p},{q}}} patch exceeds the size budget")
 
@@ -352,12 +328,8 @@ def generate_tiling(p: int, q: int, layers: int) -> TilingGraph:
 def two_tile_graph(p: int = 3, q: int = 7) -> TilingGraph:
     """Two p-gon tiles sharing one edge; the smallest graph with a bulk bond."""
     patch = _Patch(p)
-    second = [1, 0] + [patch.new_vertex() for _ in range(p - 2)]
-    face = tuple(second)
-    patch.add_face(face, 2)
-    for v in face:
-        patch.vert_faces[v] += 1
-    patch.boundary = patch._trace_rim()
+    patch.add_face((1, 0, *(patch.new_vertex() for _ in range(p - 2))), 2)
+    patch.boundary = [0, *range(p, 2 * p - 2), *range(1, p)]
     return _compile(patch, p, q, layers=2)
 
 
@@ -369,25 +341,13 @@ def _compile(patch: _Patch, p: int, q: int, layers: int) -> TilingGraph:
 
     # legs numbered along the rim cycle
     rim = patch.boundary
-    m = len(rim)
-    leg_of_edge: dict[frozenset, int] = {}
-    boundary_order: list[tuple[int, int]] = []
-    for j in range(m):
-        key = frozenset((rim[j], rim[(j + 1) % m]))
-        owner = emap[key][0]
-        leg_of_edge[key] = j
-        boundary_order.append((j, owner))
+    leg_of_edge = {frozenset(side): j for j, side in enumerate(zip(rim, rim[1:] + rim[:1]))}
+    boundary_order = [(j, emap[key][0]) for key, j in leg_of_edge.items()]
 
+    # faces are listed in ascending order; TilingGraph refuses a repeated pair
     n_faces = len(patch.face_verts)
-    edges: list[tuple[int, int]] = []
-    pair_seen: set[tuple[int, int]] = set()
-    for key, faces in sorted(emap.items(), key=lambda kv: tuple(sorted(kv[0]))):
-        if len(faces) == 2:
-            pair = (min(faces), max(faces))
-            if pair in pair_seen:
-                raise RuntimeError(f"tiles {pair} share more than one edge")
-            pair_seen.add(pair)
-            edges.append(pair)
+    by_side = sorted(emap.items(), key=lambda kv: sorted(kv[0]))
+    edges = [tuple(faces) for _, faces in by_side if len(faces) == 2]
 
     rotation: list[list[tuple[str, int]]] = []
     boundary_legs: list[list[int]] = [[] for _ in range(n_faces)]
@@ -405,11 +365,6 @@ def _compile(patch: _Patch, p: int, q: int, layers: int) -> TilingGraph:
         rotation.append(rot)
         boundary_legs[f].sort()
 
-    on_rim = set(rim)
-    for v, count in patch.vert_faces.items():
-        if v not in on_rim and count != q:
-            raise RuntimeError(f"interior tiling vertex {v} has {count} != q tiles")
-
     return TilingGraph(
         p=p,
         q=q,
@@ -426,15 +381,14 @@ def _compile(patch: _Patch, p: int, q: int, layers: int) -> TilingGraph:
 # boundary growth without building graphs
 
 
-def _type_step(p: int, q: int, counts: dict[int, int]) -> dict[int, int]:
-    """One inflation step on the census of rim-vertex tile counts."""
+def _type_step(p: int, q: int, counts: dict[int, int]) -> dict[int, int] | None:
+    """One inflation step on the census of rim-vertex tile counts, or None
+    when a rim vertex already has more than q - 2 tiles and the next layer
+    cannot complete it."""
+    if max(counts) > q - 2:
+        return None
     m = sum(counts.values())
-    total_fans = 0
-    for t, c in counts.items():
-        need = q - t - 2
-        if need < 0:
-            raise ValueError(f"(p,q)=({p},{q}) frontier vertex with {t} tiles cannot be completed")
-        total_fans += need * c
+    total_fans = sum((q - t - 2) * c for t, c in counts.items())
     if p == 3:
         # every rim edge's glued triangle reuses a fan apex, tripling it
         return {2: total_fans - m, 3: m}
@@ -446,11 +400,11 @@ def boundary_size(p: int, q: int, layers: int) -> int:
     """Number of boundary legs of the layers-deep patch, by pure counting."""
     if layers < 1:
         raise ValueError("layers must be >= 1")
-    if layers == 1:
-        return p
     counts = {1: p}
-    for _ in range(layers - 1):
+    for grown in range(1, layers):
         counts = _type_step(p, q, counts)
+        if counts is None:
+            raise ValueError(f"{{{p},{q}}} patches stop at {grown} layers")
     return sum(counts.values())
 
 
@@ -459,6 +413,8 @@ def transfer_matrix(p: int, q: int) -> list[list[int]]:
     ``_type_step`` of the census holding a single rim vertex of type j."""
     types = (2, 3) if p == 3 else (1, 2)
     columns = [_type_step(p, q, {t: 1}) for t in types]
+    if None in columns:
+        raise ValueError(f"{{{p},{q}}} patches stop growing, so no matrix steps them")
     return [[column.get(t, 0) for column in columns] for t in types]
 
 

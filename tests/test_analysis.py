@@ -167,7 +167,11 @@ class TestGeometryParams:
     """The disk parameters (R, rho, phi) are checked where an arc is measured."""
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(R=0.0), dict(rho=1.0), dict(phi=0.0), dict(phi=7.0), dict(R=-2.0)]
+        "kwargs",
+        [
+            dict(R=0.0), dict(rho=1.0), dict(phi=0.0), dict(phi=7.0), dict(R=-2.0),
+            dict(R=math.inf), dict(R=math.nan), dict(rho=math.nan), dict(phi=math.inf),
+        ],
     )
     def test_validation(self, kwargs):
         base = dict(R=1.0, rho=0.5, phi=math.pi)
@@ -178,7 +182,17 @@ class TestGeometryParams:
         with pytest.raises(ValueError, match=f"^{name} "):
             ceff_continuous(**base)
 
-    @pytest.mark.parametrize("radius", [0.0, -2.0])
+    @pytest.mark.parametrize("radius", [0.0, -2.0, math.inf, math.nan])
     def test_geodesic_needs_positive_radius(self, radius):
         with pytest.raises(ValueError, match="^R "):
             poincare_geodesic(0.5, 0.0, 0.5, 1.0, radius)
+
+    def test_overflow_is_named(self):
+        # finite inputs whose result no double holds: an error, never inf
+        with pytest.raises(OverflowError, match="^arc length overflows"):
+            arc_length(0.9, 1.0, 1e308)
+        with pytest.raises(OverflowError, match="^arc length overflows"):
+            ceff_continuous(0.9, 1.0, 1e308)
+        with pytest.raises(OverflowError, match="^geodesic overflows"):
+            poincare_geodesic(0.0, 0.0, 0.9, 0.0, 1e308)
+        assert math.isfinite(ceff_continuous(0.9, 1.0, 1e300))

@@ -147,6 +147,14 @@ class TestGraphPipeline:
         assert 1.5 < doc["c_eff"] < 2.5
         assert doc["n_points"] > 1000
 
+    @pytest.mark.parametrize("p,q,layers", [(4, 5, 3), (6, 4, 2), (7, 3, 2)])
+    def test_gen_other_tilings(self, tmp_path, p, q, layers):
+        gpath, expected = tmp_path / "g.json", tmp_path / "expected.json"
+        assert run(["tiling", "gen", "--p", str(p), "--q", str(q), "--layers", str(layers), "--out", str(gpath)]) == 0
+        hs.generate_tiling(p, q, layers).save(expected)
+        assert gpath.read_bytes() == expected.read_bytes()
+        assert run(["cut", "sweep", "--graph", str(gpath), "--out", str(tmp_path / "s.csv")]) == 0
+
     def test_ising_plr(self, tmp_path):
         gpath = tmp_path / "tt.json"
         two_tile_graph(3).save(gpath)
@@ -242,13 +250,23 @@ class TestGeom:
         assert doc["c_eff"] == pytest.approx(1.9396, abs=1e-3)
 
     @pytest.mark.parametrize(
-        "args,name", [(["--rho", "0.9", "--phi", "7"], "phi"), (["--R", "0", "--rho", "0.9", "--phi", "1"], "R")]
+        "args,name",
+        [
+            (["--rho", "0.9", "--phi", "7"], "phi"),
+            (["--R", "0", "--rho", "0.9", "--phi", "1"], "R"),
+            (["--R", "inf", "--rho", "0.9", "--phi", "1"], "R"),
+            (["--R", "nan", "--rho", "0.9", "--phi", "1"], "R"),
+        ],
     )
     def test_out_of_range_parameter(self, args, name, capsys):
         assert run(["geom", "ceff", *args]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {name} ")
+
+    def test_overflowing_result_is_named(self, capsys):
+        assert run(["geom", "ceff", "--R", "1e308", "--rho", "0.9", "--phi", "1"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: arc length overflows a double"]
 
 
 class TestWriter:
@@ -302,6 +320,21 @@ class TestErrors:
         code = run(["tree", "plr", "--d", "2", "--n", "6", "--support", "0:1", "--out", str(out)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "p,q,layers",
+        [(p, q, layers) for p, q in ((-5, -5), (2, 100), (1, -100)) for layers in (1, 2)] + [(7, 3, 3), (8, 3, 3)],
+    )
+    def test_tiling_gen_refusals(self, tmp_path, capsys, p, q, layers):
+        # a q = 3 tiling grows two layers; the others are not tilings at all
+        if q == 3:
+            message = f"{{{p},{q}}} patches stop at 2 layers"
+        else:
+            message = f"{{{p},{q}}} is not a tiling: p and q must be at least 3"
+        gpath = tmp_path / "g.json"
+        assert run(["tiling", "gen", "--p", str(p), "--q", str(q), "--layers", str(layers), "--out", str(gpath)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not gpath.exists()
 
     def test_missing_graph_file(self, tmp_path):
         assert run(["cut", "sweep", "--graph", str(tmp_path / "nope.json")]) == 1
@@ -405,8 +438,8 @@ WRONG_TYPES = (None, True, 1.5, "7", [], {}, 7)
 
 @st.composite
 def corrupted_graphs(draw):
-    """A valid {3,7}x2 or {5,4}x2 graph document with one field corrupted."""
-    p, q = draw(st.sampled_from([(3, 7), (5, 4)]))
+    """A valid two-layer graph document of a hyperbolic tiling with one field corrupted."""
+    p, q = draw(st.sampled_from([(3, 7), (5, 4), (4, 5), (3, 8), (6, 4), (5, 5), (4, 6), (3, 9), (7, 3), (8, 3)]))
     data = hs.generate_tiling(p, q, 2).to_json_dict()
     paths = dict(_json_paths(data))
     kind = draw(st.sampled_from(["drop_key", "wrong_type", "shift_id", "duplicate_id", "swap_rotation", "drop_edge"]))

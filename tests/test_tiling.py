@@ -1,19 +1,54 @@
 """Tiling generation, planar dual extraction, boundary machinery."""
 
 import dataclasses
+import hashlib
 import json
+import random
 
 import pytest
 
 import holoshadow as hs
 from holoshadow import tiling
+from holoshadow.core import ModelParams
+from holoshadow.cuts import cut_sweep
+from holoshadow.ising import SpinModel, _log_boltzmann_sum
 from holoshadow.tiling import (
+    MODES,
     TilingGraph,
     boundary_size,
     dual_graph,
     inflation_growth_rate,
     two_tile_graph,
 )
+
+from conftest import enumerated_log_z, oracle_sweep
+
+# sha256 of the graph file each patch saves as: the generator's output is
+# pinned byte for byte, since sweep digests and graph files depend on it;
+# keys are (p, q, layers), or ("two", p) for two_tile_graph(p)
+GRAPH_DIGESTS = {
+    (3, 7, 1): "bfb9d698ee1768078ce351bdd72a81dad314136639303c1812e76f2365d44005",
+    (3, 7, 2): "23d604c6b4ab732fe077c6efbf84adf3ed1c93f94fb4a33223f22876d80a1695",
+    (3, 7, 3): "06934cd75ac1b142a94d8a7061ad0383809bf870348e867fd2f8a698a3055d13",
+    (3, 7, 4): "0ba564c14875f4055116fe7e3b71cac7762e39d3ecaeec055e77f74395594e3e",
+    (3, 7, 5): "d9eec5b20d1d150c5ef705a4be18983ed9749d0fba65e04ba4d36e783f701c3c",
+    (3, 7, 6): "cc6795d274d87b2bd60c87ddcb20dcdd01cd83e2b9211ef53ea3fed1e79ac681",
+    (3, 7, 7): "ed3eaf39390a3ba3060010ddff014f3e01b54bd7c5980a5912bc95fdbd60cfc0",
+    (5, 4, 1): "0b540ae77fe19e435a49eb897590e64b9ab022e0e6954d39011b5237641245cb",
+    (5, 4, 2): "8060ed5001ba1af805bfcc0097cac321a6e7b0b0a34d1281de7ab22162580131",
+    (5, 4, 3): "0612abf8aea0614e63c7c329d23e83a7d9bc6a43e8b5be67484990ea0e405ce8",
+    (5, 4, 4): "84c0b4df27e0384f57fec8bdddfe615033b7e881305df9aae1fd8644b9f3c93e",
+    (5, 4, 5): "af8632c1b0c5bd53458a4877496d64d6f083e2c357e32bf3cb62347c899428c7",
+    ("two", 3): "597c13ab7f48a4c1644247a94f70b1d5d27f8b76ba6819c5e83702d41da296d4",
+    ("two", 4): "801fce09cf27f31634b55a156e3eccf4140ab5c705b18d2d08f4e10a72aca0a2",
+    ("two", 5): "2e0449eb987605219457774e57df5faf4d4b7f34228605744531c320ca492474",
+    ("two", 6): "da72b9925682f69de19e02bba3b296dc46128e946ed65f812b021f57064295bf",
+    ("two", 7): "ec32b95a375870cba7436633565269df0af5bbf38bdd174cb52864f588c84cc8",
+}
+
+# every hyperbolic tiling off the {3,7}/{5,4} pair that is tested, with the
+# deepest patch tested; q = 3 tilings stop growing at 2 layers
+GROWABLE = {(4, 5): 3, (3, 8): 3, (6, 4): 3, (5, 5): 3, (4, 6): 3, (3, 9): 3, (7, 3): 2, (8, 3): 2}
 
 
 def grown_patch(p, q, layers):
@@ -48,9 +83,27 @@ class TestGeneration:
         with pytest.raises(ValueError, match="not hyperbolic"):
             hs.generate_tiling(4, 4, 2)
 
-    def test_rejects_unsupported(self):
-        with pytest.raises(NotImplementedError):
-            hs.generate_tiling(4, 5, 2)
+    @pytest.mark.parametrize("p,q", [(2, 100), (100, 2), (-5, -5), (1, -100)])
+    def test_rejects_non_tilings(self, p, q):
+        # (-7)(-7) = 49 > 4 would pass the hyperbolic test
+        with pytest.raises(ValueError, match="is not a tiling"):
+            hs.generate_tiling(p, q, 2)
+
+    @pytest.mark.parametrize("p,q", [(7, 3), (8, 3), (9, 3)])
+    def test_rejects_layers_the_census_cannot_complete(self, p, q):
+        # a q = 3 rim vertex of a two-layer patch already has two tiles
+        assert hs.generate_tiling(p, q, 2).n_legs == boundary_size(p, q, 2)
+        with pytest.raises(ValueError) as err:
+            hs.generate_tiling(p, q, 3)
+        assert str(err.value) == f"{{{p},{q}}} patches stop at 2 layers"
+        with pytest.raises(ValueError, match="stop growing"):
+            tiling.transfer_matrix(p, q)
+
+    @pytest.mark.parametrize("key", list(GRAPH_DIGESTS), ids=lambda key: "-".join(map(str, key)))
+    def test_graph_json_is_pinned(self, key):
+        g = two_tile_graph(key[1]) if key[0] == "two" else hs.generate_tiling(*key)
+        text = json.dumps(g.to_json_dict(), indent=1) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == GRAPH_DIGESTS[key]
 
     def test_rejects_bad_layers(self):
         with pytest.raises(ValueError):
@@ -149,7 +202,7 @@ class TestBoundaryGrowth:
             ratio = boundary_size(p, q, layers + 1) / boundary_size(p, q, layers)
             assert abs(ratio / rate - 1) < 0.02
 
-    @pytest.mark.parametrize("p,q", [(3, 7), (5, 4)])
+    @pytest.mark.parametrize("p,q", [(3, 7), (5, 4), (4, 5), (3, 8), (6, 4), (5, 5), (4, 6), (3, 9)])
     def test_transfer_matrix_steps_the_census(self, p, q):
         types = (2, 3) if p == 3 else (1, 2)
         matrix = tiling.transfer_matrix(p, q)
@@ -274,3 +327,63 @@ class TestDualGraph:
         data["rotation"][(v + 1) % len(data["rotation"])].append(["leg", 0])
         with pytest.raises(ValueError, match="each leg at its tile"):
             TilingGraph.from_json_dict(data)
+
+
+class TestEveryHyperbolicTiling:
+    """Tilings other than {3,7} and {5,4} grow by the same rule and agree
+    with the independent oracles: max-flow for cuts, enumeration for sums."""
+
+    @pytest.mark.parametrize("p,q", sorted(GROWABLE))
+    def test_generates_loads_and_embeds(self, tmp_path, p, q):
+        for layers in range(1, GROWABLE[p, q] + 1):
+            g = hs.generate_tiling(p, q, layers)
+            assert g.n_legs == boundary_size(p, q, layers)
+            path = tmp_path / f"g{layers}.json"
+            g.save(path)
+            loaded = TilingGraph.load(path)
+            assert loaded == g
+            assert json.dumps(loaded.to_json_dict(), indent=1) + "\n" == path.read_text()
+            degree = [len(rot) for rot in g.rotation]
+            assert degree == [p] * g.n_vertices
+            dual = dual_graph(loaded)
+            assert sorted(e for _, _, e in dual.arcs) == list(range(len(g.edges)))
+            assert g.n_vertices - len(g.edges) + dual.n_nodes - len(dual.gap_index) + 1 == 2
+
+    @pytest.mark.parametrize("p,q", [pq for pq in sorted(GROWABLE) if pq[1] >= 4])
+    def test_growth_rate_matches_generated_legs(self, p, q):
+        rate = inflation_growth_rate(p, q)
+        legs = [hs.generate_tiling(p, q, layers).n_legs for layers in (2, 3, 4)]
+        gaps = [abs(b / a / rate - 1) for a, b in zip(legs, legs[1:])]
+        assert gaps[1] < gaps[0] and gaps[1] < 0.01
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "p,q,layers", [(*pq, layers) for pq, deepest in sorted(GROWABLE.items()) for layers in range(2, deepest + 1)]
+    )
+    def test_sweep_matches_max_flow(self, p, q, layers, mode):
+        # every interval at two layers, a seeded sample of 300 deeper; a
+        # per-leg row that is its own hull may report its wall past the
+        # global flip, so the sweep's value is min(minC, total)
+        g = hs.generate_tiling(p, q, layers)
+        rows = [row for row in cut_sweep(g, mode) if row["k"]]
+        if layers > 2:
+            rows = random.Random(0).sample(rows, 300)
+        oracle = oracle_sweep(g, mode, [(row["start"], row["k"]) for row in rows])
+        total = sum(g.boundary_cost(mode))
+        for row in rows:
+            assert row["bdryC"] + row["bulkC"] == row["minC"]
+            assert min(row["minC"], total) == oracle[row["start"], row["k"]][2], row
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("p,q", [(4, 5), (6, 4), (5, 5), (4, 6), (7, 3), (8, 3)])
+    def test_elimination_matches_enumeration(self, p, q, mode):
+        g = hs.generate_tiling(p, q, 2)
+        assert g.n_vertices <= 17
+        rng = random.Random(0)
+        for d in (2, 3, 10**6):
+            model = SpinModel(g, ModelParams(d), mode)
+            for pin_rate in (0.0, 0.5):
+                pinned = {v: rng.choice((-1, 1)) for v in range(g.n_vertices) if rng.random() < pin_rate}
+                tau = {v: -1 for v in range(g.n_vertices) if g.boundary_legs[v] and rng.random() < 0.5}
+                got = _log_boltzmann_sum(model, model.params.h, pinned, tau)
+                assert abs(got - enumerated_log_z(model, pinned, tau)) <= 1e-9
