@@ -15,9 +15,10 @@ double raises OverflowError naming it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Mapping
 
 
 @dataclass(frozen=True)
@@ -30,36 +31,57 @@ class FitResult:
     n_points: int
 
 
-def fit_ceff(points: Sequence[tuple[float, float]], n_boundary: int) -> FitResult:
+def fit_ceff(
+    points: Iterable[tuple[float, float]] | Mapping[tuple[float, float], int], n_boundary: int
+) -> FitResult:
     """Least-squares c_eff from (k, log_d norm) sweep points.
 
-    Fits log_d_norm - k = c_eff * ln(min(k, N-k)) through the origin;
+    points is an iterable of points, or a point -> multiplicity mapping
+    such as a ``collections.Counter``, so a sweep's rows need not be held
+    in a list.  Fits log_d_norm - k = c_eff * ln(min(k, N-k)) through the
+    origin.  The sums of x^2 and x*y run over the points in the order given,
+    so a list gives the same bits as summing it row by row; the regressors
+    are computed, and the residuals summed, once per distinct point, times
+    its multiplicity.
     k = 0 and k = N points are discarded (the regressor is undefined there).
     A point outside 0 <= k <= N raises ValueError: N is smaller than the
     swept graph's leg count.
     """
-    xs: list[float] = []
-    ys: list[float] = []
-    for k, log_d_norm in points:
-        if k <= 0 or k >= n_boundary:
-            if k < 0 or k > n_boundary:
-                raise ValueError(f"point with k = {k} lies outside 0..N = 0..{n_boundary}")
-            continue
-        xs.append(math.log(min(k, n_boundary - k)))
-        ys.append(log_d_norm - k)
-    if len(xs) < 2:
+    weighted = points.items() if isinstance(points, Mapping) else zip(points, itertools.repeat(1))
+    entries: dict[tuple[float, float], list] = {}  # point -> [x, y, multiplicity]
+    sxx = sxy = 0.0
+    for point, count in weighted:
+        entry = entries.get(point)
+        if entry is None:
+            entry = entries[point] = _regressors(point, n_boundary)
+        if entry:
+            x, y, _ = entry
+            sxx += count * x * x
+            sxy += count * x * y
+            entry[2] += count
+    usable = [entry for entry in entries.values() if entry]
+    n = sum(count for _, _, count in usable)
+    if n < 2:
         raise ValueError("need at least two usable points to fit")
-    if len(set(xs)) < 2:
+    if len({x for x, _, _ in usable}) < 2:
         raise ValueError("degenerate design: all min(k, N-k) values are equal")
 
-    n = len(xs)
-    sxx = sum(x * x for x in xs)
-    sxy = sum(x * y for x, y in zip(xs, ys))
     slope = sxy / sxx
-    resid = [y - slope * x for x, y in zip(xs, ys)]
-    var = sum(r * r for r in resid) / (n - 1) / sxx
-    rms = math.sqrt(sum(r * r for r in resid) / n)
+    ss = sum(count * (y - slope * x) ** 2 for x, y, count in usable)
+    var = ss / (n - 1) / sxx
+    rms = math.sqrt(ss / n)
     return FitResult(c_eff=slope, stderr=math.sqrt(var), residual_rms=rms, n_points=n)
+
+
+def _regressors(point: tuple[float, float], n_boundary: int) -> list:
+    """[ln min(k, N-k), log_d_norm - k, 0] for a point, the 0 a multiplicity
+    to count into; [] at k = 0 and k = N, where the regressor is undefined."""
+    k, log_d_norm = point
+    if k < 0 or k > n_boundary:
+        raise ValueError(f"point with k = {k} lies outside 0..N = 0..{n_boundary}")
+    if k == 0 or k == n_boundary:
+        return []
+    return [math.log(min(k, n_boundary - k)), log_d_norm - k, 0]
 
 
 def ceff_approx(l: int, p: int, q: int, n_boundary: int) -> float:
@@ -108,9 +130,12 @@ def poincare_geodesic(rho1: float, phi1: float, rho2: float, phi2: float, R: flo
     for rho in (rho1, rho2):
         if not 0.0 <= rho < 1.0:
             raise ValueError("radii must lie in [0, 1)")
-    num = rho1 * rho1 + rho2 * rho2 - 2.0 * rho1 * rho2 * math.cos(phi1 - phi2)
-    arg = 1.0 + 2.0 * num / ((1.0 - rho1 * rho1) * (1.0 - rho2 * rho2))
-    return _finite("geodesic", R * math.acosh(max(arg, 1.0)))
+    # |z1 - z2|^2 without cancellation, and acosh(1 + 2u) as 2 asinh(sqrt u):
+    # acosh rounds 1 + 2u to 1 for u below 1e-16, so nearby points came out
+    # at distance 0
+    num = (rho1 - rho2) ** 2 + 4.0 * rho1 * rho2 * math.sin((phi1 - phi2) / 2.0) ** 2
+    u = num / ((1.0 - rho1 * rho1) * (1.0 - rho2 * rho2))
+    return _finite("geodesic", 2.0 * R * math.asinh(math.sqrt(u)))
 
 
 def ceff_continuous(rho: float, phi: float, R: float) -> float:

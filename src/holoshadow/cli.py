@@ -24,13 +24,14 @@ Exit codes: 0 success, 2 usage error, 1 computation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
 import operator
+import os
 import sys
 import time
-from pathlib import Path
 
 from . import analysis, cuts, ising, tiling, tree
 from .core import ModelParams, PlrResult, SupportMask
@@ -97,13 +98,15 @@ def _round_floats(value, digits: int | None):
 
 def _emit(result, args: argparse.Namespace, out: str | None) -> None:
     """Write a handler's result: a dict as one JSON document, or
-    (columns, rows) as CSV with one %s template per row.  --digits rounds
-    every float in either format by the same rule."""
-    result = _round_floats(result, args.digits)
+    (columns, rows) as CSV with one %s template per row.  Rows may be any
+    iterable, a generator included; each is rounded and written as it
+    arrives, and --out appears only once all of them are written.  --digits
+    rounds every float in either format by the same rule."""
+    digits = args.digits
     config = _config_dict(args)
     stamp = None if args.no_timestamp else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     if isinstance(result, dict):
-        doc = {**result, "config": config}
+        doc = {**_round_floats(result, digits), "config": config}
         if stamp:
             doc["generated"] = stamp
         lines = [json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n"]
@@ -114,10 +117,21 @@ def _emit(result, args: argparse.Namespace, out: str | None) -> None:
             head += f"# generated: {stamp}\n"
         template = ",".join(["%s"] * len(columns)) + "\n"
         cells = operator.itemgetter(*columns)
+        if digits is not None:
+            rows = (_round_floats(row, digits) for row in rows)
         lines = itertools.chain([head, ",".join(columns) + "\n"], (template % cells(row) for row in rows))
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
+        # a row can still fail while the rows stream: write beside --out and
+        # move the file into place only once every row is written
+        part = f"{out}.{os.getpid()}.part"
+        try:
+            with open(part, "w", encoding="utf-8") as handle:
+                handle.writelines(lines)
+            os.replace(part, out)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(part)
+            raise
     else:
         sys.stdout.writelines(lines)
 
@@ -207,23 +221,34 @@ def _cmd_ising_ef(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_fit_ceff(args: argparse.Namespace) -> dict:
-    points = []
+def _sweep_points(path: str):
+    """(k, minC) of each data row of a sweep CSV, in row order, read one line
+    at a time; each distinct text pair is converted to numbers once."""
+    numbers: dict[tuple[str, str], tuple[int, float]] = {}
     header: list[str] | None = None
-    for number, line in enumerate(Path(args.csv).read_text(encoding="utf-8").splitlines(), 1):
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line.split(",")
-            if "k" not in header or "minC" not in header:
-                raise ValueError(f"{args.csv} has no k,minC header row")
-            k_col, min_col = header.index("k"), header.index("minC")
-            continue
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ValueError(f"{args.csv} line {number}: {len(parts)} fields, header has {len(header)}")
-        points.append((int(parts[k_col]), float(parts[min_col])))
-    fit = analysis.fit_ceff(points, args.n)
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, 1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if header is None:
+                header = parts
+                if "k" not in header or "minC" not in header:
+                    raise ValueError(f"{path} has no k,minC header row")
+                k_col, min_col = header.index("k"), header.index("minC")
+                continue
+            if len(parts) != len(header):
+                raise ValueError(f"{path} line {number}: {len(parts)} fields, header has {len(header)}")
+            key = parts[k_col], parts[min_col]
+            point = numbers.get(key)
+            if point is None:
+                point = numbers[key] = (int(key[0]), float(key[1]))
+            yield point
+
+
+def _cmd_fit_ceff(args: argparse.Namespace) -> dict:
+    fit = analysis.fit_ceff(_sweep_points(args.csv), args.n)
     return {
         "c_eff": fit.c_eff,
         "stderr": fit.stderr,

@@ -30,6 +30,10 @@ the generated {3,7} and {5,4} patches the shortest path is either the
 bulk geodesic (the wall around the hull) or that rim walk, so minC =
 min(c + geodesic, total) there; other graphs may mix the two.
 
+``cut_sweep`` yields its N^2 rows one at a time and keeps no list of them.
+What it holds is each hull start's search, 2N distances apiece, which the
+(k, start) row order revisits for every k.
+
 ``min_cut_exact`` -- a max-flow optimizer over all spin configurations
 (source to pinned tiles at infinite capacity, unit capacities on bulk
 edges, per-tile or per-leg capacities from boundary tiles to the sink) --
@@ -46,7 +50,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import PlrResult, SupportMask
 from .tiling import DualGraph, TilingGraph, dual_graph
@@ -316,10 +320,14 @@ def plr_large_d(
 
 def cut_sweep(
     g: TilingGraph, mode: str = "per-leg", vertex_aligned_only: bool = False, oracle: str = "auto"
-) -> list[dict]:
+) -> Iterator[dict]:
     """(start, k, bdryC, bulkC, minC) for contiguous boundary intervals.
 
-    Rows are ordered by (k, start) with a single zero row for k = 0.
+    Returns an iterator over rows ordered by (k, start), with a single zero
+    row for k = 0; rows are computed as they are read, so a sweep holds no
+    list of them.  The hull data (dual graph, planarity check) and the
+    oracle check come first, so a graph or argument error raises here, not
+    at the first row.
 
     oracle:
       * "auto"    -- the hull route.  Per-leg rows whose interval is itself
@@ -334,18 +342,21 @@ def cut_sweep(
     hull = _HullCuts(g, mode)
     n, aligned = g.n_legs, g.aligned
     solved: dict[frozenset, CutResult] = {}
-    rows: list[dict] = [{"start": 0, "k": 0, "bdryC": 0, "bulkC": 0, "minC": 0}]
-    for k in range(1, n):
-        for start in range(n):
-            if vertex_aligned_only and not (start in aligned and (start + k) % n in aligned):
-                continue
-            if oracle == "auto":
-                bdry, bulk, min_cost = hull.cut(start, k, clamp_aligned=False)
-            else:
-                pinned = pinned_for_interval(g, SupportMask.interval(n, start, k))
-                if pinned not in solved:
-                    solved[pinned] = min_cut_exact(g, pinned, mode)
-                cut = solved[pinned]
-                bdry, bulk, min_cost = cut.bdry_cost, cut.bulk_cost, cut.min_cost
-            rows.append({"start": start, "k": k, "bdryC": bdry, "bulkC": bulk, "minC": min_cost})
-    return rows
+
+    def rows() -> Iterator[dict]:
+        yield {"start": 0, "k": 0, "bdryC": 0, "bulkC": 0, "minC": 0}
+        for k in range(1, n):
+            for start in range(n):
+                if vertex_aligned_only and not (start in aligned and (start + k) % n in aligned):
+                    continue
+                if oracle == "auto":
+                    bdry, bulk, min_cost = hull.cut(start, k, clamp_aligned=False)
+                else:
+                    pinned = pinned_for_interval(g, SupportMask.interval(n, start, k))
+                    if pinned not in solved:
+                        solved[pinned] = min_cut_exact(g, pinned, mode)
+                    cut = solved[pinned]
+                    bdry, bulk, min_cost = cut.bdry_cost, cut.bulk_cost, cut.min_cost
+                yield {"start": start, "k": k, "bdryC": bdry, "bulkC": bulk, "minC": min_cost}
+
+    return rows()

@@ -32,8 +32,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, count, islice
 from pathlib import Path
+from typing import Iterator
 
 #: refuse to generate patches with more boundary legs than this
 MAX_BOUNDARY = 500_000
@@ -316,8 +317,13 @@ def generate_tiling(p: int, q: int, layers: int) -> TilingGraph:
         raise ValueError(f"{{{p},{q}}} is not a tiling: p and q must be at least 3")
     if (p - 2) * (q - 2) <= 4:
         raise ValueError(f"{{{p},{q}}} is not hyperbolic: (p-2)(q-2) = {(p - 2) * (q - 2)} <= 4")
-    if boundary_size(p, q, layers) > MAX_BOUNDARY:
-        raise ValueError(f"a {layers}-layer {{{p},{q}}} patch exceeds the size budget")
+    if layers < 1:
+        raise ValueError("layers must be >= 1")
+    # the rim grows geometrically, so this stops within a few dozen layers
+    # however many are asked for
+    for size in islice(_rim_sizes(p, q), layers):
+        if size > MAX_BOUNDARY:
+            raise ValueError(f"a {layers}-layer {{{p},{q}}} patch exceeds the size budget")
 
     patch = _Patch(p)
     for layer in range(2, layers + 1):
@@ -396,16 +402,22 @@ def _type_step(p: int, q: int, counts: dict[int, int]) -> dict[int, int] | None:
     return {t: c for t, c in new_counts.items() if c}
 
 
+def _rim_sizes(p: int, q: int) -> Iterator[int]:
+    """Boundary leg counts of the 1-, 2-, 3-, ... layer patches; ValueError
+    in place of the first layer the census cannot complete."""
+    counts = {1: p}
+    for grown in count(1):
+        yield sum(counts.values())
+        counts = _type_step(p, q, counts)
+        if counts is None:
+            raise ValueError(f"{{{p},{q}}} patches stop at {grown} layers")
+
+
 def boundary_size(p: int, q: int, layers: int) -> int:
     """Number of boundary legs of the layers-deep patch, by pure counting."""
     if layers < 1:
         raise ValueError("layers must be >= 1")
-    counts = {1: p}
-    for grown in range(1, layers):
-        counts = _type_step(p, q, counts)
-        if counts is None:
-            raise ValueError(f"{{{p},{q}}} patches stop at {grown} layers")
-    return sum(counts.values())
+    return next(islice(_rim_sizes(p, q), layers - 1, None))
 
 
 def transfer_matrix(p: int, q: int) -> list[list[int]]:

@@ -218,7 +218,7 @@ def graphs54():
 def sweeps37(graphs37):
     """Cross-checked per-leg sweeps of {3,7} patches, layers 2..5."""
     return {
-        layers: with_oracle(graphs37[layers], cut_sweep(graphs37[layers], mode="per-leg"), "per-leg")
+        layers: with_oracle(graphs37[layers], list(cut_sweep(graphs37[layers], mode="per-leg")), "per-leg")
         for layers in (2, 3, 4, 5)
     }
 
@@ -229,7 +229,7 @@ def sweeps54(graphs54):
     return {
         layers: with_oracle(
             graphs54[layers],
-            cut_sweep(graphs54[layers], mode="per-leg", vertex_aligned_only=True),
+            list(cut_sweep(graphs54[layers], mode="per-leg", vertex_aligned_only=True)),
             "per-leg",
         )
         for layers in (2, 3, 4)

@@ -1,9 +1,10 @@
 """Central-charge fits and Poincare-disk geometry."""
 
 import math
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from holoshadow.analysis import (
@@ -17,6 +18,37 @@ from holoshadow.analysis import (
 
 def synthetic_points(n, c):
     return [(k, k + c * math.log(min(k, n - k))) for k in range(1, n)]
+
+
+def two_list_fit(points, n_boundary):
+    """The row-by-row least squares fit_ceff replaced, kept as its oracle:
+    (c_eff, stderr, residual_rms, n_points), summed in row order."""
+    xs, ys = [], []
+    for k, log_d_norm in points:
+        if 0 < k < n_boundary:
+            xs.append(math.log(min(k, n_boundary - k)))
+            ys.append(log_d_norm - k)
+    n = len(xs)
+    sxx = sum(x * x for x in xs)
+    slope = sum(x * y for x, y in zip(xs, ys)) / sxx
+    resid = [y - slope * x for x, y in zip(xs, ys)]
+    var = sum(r * r for r in resid) / (n - 1) / sxx
+    return slope, math.sqrt(var), math.sqrt(sum(r * r for r in resid) / n), n
+
+
+@st.composite
+def sweep_points(draw):
+    """N and (k, minC) points with minC >= k, as a sweep has them, repeats
+    included; at least two distinct usable min(k, N-k)."""
+    n = draw(st.integers(4, 300))
+    ks = st.integers(0, n)
+    points = draw(st.lists(st.tuples(ks, st.integers(0, 3 * n)), min_size=2, max_size=400))
+    points = [(k, float(k + extra)) for k, extra in points]
+    # repeat some rows, as the rows of one k repeat one minC
+    points += draw(st.lists(st.sampled_from(points), max_size=200))
+    usable = {min(k, n - k) for k, _ in points if 0 < k < n}
+    assume(len(usable) >= 2)
+    return n, points
 
 
 class TestFitCeff:
@@ -45,6 +77,28 @@ class TestFitCeff:
     def test_degenerate_design(self):
         with pytest.raises(ValueError, match="degenerate"):
             fit_ceff([(2, 3.0), (6, 7.0)], 8)  # min(k, N-k) = 2 for both
+
+    @given(sweep_points(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_row_order_and_counting_leave_the_fit_unchanged(self, case, rng):
+        n, points = case
+        fit = fit_ceff(points, n)
+        assert fit_ceff(iter(points), n) == fit
+        c_eff, stderr, rms, n_points = two_list_fit(points, n)
+        # in row order the slope is the row-by-row one, bit for bit
+        assert fit.c_eff == c_eff
+        assert fit.n_points == n_points
+        # a residual that cancels to round-off has no relative precision
+        scale = 1e-12 * max(abs(y) for _, y in points)
+        assert fit.stderr == pytest.approx(stderr, rel=1e-12, abs=scale)
+        assert fit.residual_rms == pytest.approx(rms, rel=1e-12, abs=scale)
+        shuffled = list(points)
+        rng.shuffle(shuffled)
+        for other in (fit_ceff(shuffled, n), fit_ceff(Counter(points), n)):
+            assert other.n_points == fit.n_points
+            assert other.c_eff == pytest.approx(fit.c_eff, rel=1e-12)
+            assert other.stderr == pytest.approx(fit.stderr, rel=1e-12, abs=scale)
+            assert other.residual_rms == pytest.approx(fit.residual_rms, rel=1e-12, abs=scale)
 
 
 class TestCeffApprox:
@@ -100,6 +154,10 @@ class TestPoincareGeodesic:
         asym = 2 * radius * math.log(2 * length / (math.pi * radius))
         assert abs(d - asym) / asym < 1e-3
 
+    def test_nearby_points_keep_their_distance(self):
+        # from the centre the distance is 2 atanh(rho), 2 rho for tiny rho
+        assert poincare_geodesic(0.0, 0.0, 1.78e-9, 0.0, 1.0) == pytest.approx(3.56e-9, rel=1e-12)
+
     def test_rejects_outside_disk(self):
         with pytest.raises(ValueError):
             poincare_geodesic(1.0, 0.0, 0.5, 1.0, 1.0)
@@ -112,6 +170,9 @@ class TestPoincareGeodesic:
         st.floats(0.0, 0.95),
         st.floats(0.0, 2 * math.pi),
     )
+    # acosh(1 + 2u) rounds to 0 for u below 1e-16, which broke the triangle
+    # inequality here by 2.6e-9
+    @example(0.0, 0.0, 1.78e-9, 0.0, 0.5, 0.0)
     @settings(max_examples=60)
     def test_metric_axioms(self, r1, p1, r2, p2, r3, p3):
         d12 = poincare_geodesic(r1, p1, r2, p2, 1.0)

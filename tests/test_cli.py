@@ -1,11 +1,13 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holoshadow as hs
-from holoshadow.cli import run
+from holoshadow.cli import _emit, run
 from holoshadow.cuts import pinned_for_interval
 from holoshadow.tiling import two_tile_graph
 from holoshadow.tree import MAX_EXACT_BITS
@@ -30,6 +32,15 @@ def run_json(args, tmp_path, name="out.json"):
 def _csv_body(path):
     """Header and data lines of a CSV written by the CLI, comments dropped."""
     return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def _cli_subprocess(args, timeout):
+    """Run python with these arguments in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(hs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
 class TestTreeCommands:
@@ -232,12 +243,7 @@ class TestGraphPipeline:
             "    assert run(['ising', cmd, '--graph', g, '--d', '2', '--support', '0:3', '--out', out]) == 0\n"
             "print('numpy' in sys.modules)\n"
         )
-        src = str(Path(hs.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "g.json"), str(tmp_path / "out.json")],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = _cli_subprocess(["-c", script, str(tmp_path / "g.json"), str(tmp_path / "out.json")], timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
@@ -282,7 +288,7 @@ class TestWriter:
         header, *lines = _csv_body(spath)
         columns = header.split(",")
         parsed = [dict(zip(columns, map(int, line.split(",")))) for line in lines]
-        rows = hs.cut_sweep(g, mode=mode, vertex_aligned_only=aligned)
+        rows = list(hs.cut_sweep(g, mode=mode, vertex_aligned_only=aligned))
         assert parsed == rows
 
         doc = run_json(["fit", "ceff", "--csv", str(spath), "--N", str(g.n_legs)], tmp_path, "fit.json")
@@ -290,6 +296,28 @@ class TestWriter:
         assert (doc["c_eff"], doc["stderr"], doc["residual_rms"], doc["n_points"]) == (
             fit.c_eff, fit.stderr, fit.residual_rms, fit.n_points
         )
+
+    def test_sweep_and_fit_stream(self, tmp_path, graphs37):
+        # neither command holds the {3,7}x5 sweep's 51,757 rows: traced peaks
+        # are 3.1 MiB (sweep) and 0.6 MiB (fit), against 12.5 MiB and 9.5 MiB
+        # when the sweep built a list of row dicts and the fit a list of points
+        g = graphs37[5]
+        gpath, spath = tmp_path / "g.json", tmp_path / "s.csv"
+        g.save(gpath)
+        tracemalloc.start()
+        try:
+            assert run(["cut", "sweep", "--graph", str(gpath), "--out", str(spath)]) == 0
+            assert run(["fit", "ceff", "--csv", str(spath), "--N", str(g.n_legs), "--out", str(tmp_path / "f.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_streamed_rows_are_rounded(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        rows = ({"k": k, "x": k + 1 / 3} for k in range(3))
+        _emit((("k", "x"), rows), argparse.Namespace(digits=3, no_timestamp=True), str(out))
+        assert _csv_body(out) == ["k,x", "0,0.333", "1,1.33", "2,2.33"]
 
     def test_digits_rounds_csv_by_the_json_rule(self, tmp_path):
         plain, rounded = tmp_path / "plain.csv", tmp_path / "rounded.csv"
@@ -335,6 +363,44 @@ class TestErrors:
         assert run(["tiling", "gen", "--p", str(p), "--q", str(q), "--layers", str(layers), "--out", str(gpath)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not gpath.exists()
+
+    def test_huge_layer_count_is_refused_at_once(self, tmp_path):
+        # the rim census stops once the rim passes the size budget
+        gpath = tmp_path / "g.json"
+        args = ["tiling", "gen", "--p", "3", "--q", "7", "--layers", "1000000000", "--out", str(gpath)]
+        proc = _cli_subprocess(["-m", "holoshadow.cli", *args], timeout=10)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: a 1000000000-layer {3,7} patch exceeds the size budget\n"
+        assert not gpath.exists()
+
+    def test_sweep_error_leaves_no_output(self, tmp_path, capsys):
+        # the dual is built before --out is opened, so a graph without a
+        # rotation system fails with nothing written
+        data = hs.generate_tiling(3, 7, 2).to_json_dict()
+        del data["rotation"]
+        gpath, out = tmp_path / "g.json", tmp_path / "s.csv"
+        gpath.write_text(json.dumps(data))
+        assert run(["cut", "sweep", "--graph", str(gpath), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not out.exists()
+
+    def test_row_failing_midway_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        # rows stream into a file beside --out, which appears only when the
+        # last row is written; an existing --out is left as it was
+        def failing_sweep(g, **kwargs):
+            yield {"start": 0, "k": 0, "bdryC": 0, "bulkC": 0, "minC": 0}
+            raise ValueError("row 2 failed")
+
+        monkeypatch.setattr(hs.cuts, "cut_sweep", failing_sweep)
+        gpath, out, kept = tmp_path / "g.json", tmp_path / "s.csv", tmp_path / "kept.csv"
+        hs.generate_tiling(3, 7, 2).save(gpath)
+        kept.write_text("old\n")
+        assert run(["cut", "sweep", "--graph", str(gpath), "--out", str(out)]) == 1
+        assert run(["cut", "sweep", "--graph", str(gpath), "--out", str(kept)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: row 2 failed"] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "kept.csv"]
+        assert kept.read_text() == "old\n"
 
     def test_missing_graph_file(self, tmp_path):
         assert run(["cut", "sweep", "--graph", str(tmp_path / "nope.json")]) == 1

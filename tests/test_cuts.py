@@ -1,5 +1,6 @@
 """Minimal-cut solvers: geodesic vs optimizer, sweeps, large-d rates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -49,7 +50,7 @@ def assert_sweep_matches(g, oracle):
     n = g.n_legs
     aligned = g.aligned
     for mode in ("per-leg", "per-vertex"):
-        rows = cut_sweep(g, mode)
+        rows = list(cut_sweep(g, mode))
         assert len(rows) == n * (n - 1) + 1
         want_by_key = oracle(g, mode, [(r["start"], r["k"]) for r in rows if r["k"]])
         for row in rows[1:]:
@@ -192,8 +193,19 @@ class TestPlrLargeD:
 
 
 class TestCutSweep:
-    def test_zero_row_and_ordering(self, two_tile):
+    def test_rows_stream(self, two_tile):
         rows = cut_sweep(two_tile, "per-vertex")
+        assert iter(rows) is rows
+        assert next(rows) == {"start": 0, "k": 0, "bdryC": 0, "bulkC": 0, "minC": 0}
+
+    def test_errors_raise_before_the_first_row(self, two_tile):
+        with pytest.raises(ValueError, match="unknown oracle"):
+            cut_sweep(two_tile, oracle="bfs")
+        with pytest.raises(ValueError, match="no rotation system"):
+            cut_sweep(dataclasses.replace(two_tile, rotation=None))
+
+    def test_zero_row_and_ordering(self, two_tile):
+        rows = list(cut_sweep(two_tile, "per-vertex"))
         assert rows[0] == {"start": 0, "k": 0, "bdryC": 0, "bulkC": 0, "minC": 0}
         keys = [(r["k"], r["start"]) for r in rows]
         assert keys == sorted(keys)
@@ -263,7 +275,7 @@ class TestCutSweep:
 
     def test_unrestricted_54_partial_intervals_use_optimizer(self, graphs54):
         g = graphs54[2]
-        rows = cut_sweep(g, "per-leg")
+        rows = list(cut_sweep(g, "per-leg"))
         n = g.n_legs
         aligned = g.aligned
         by_key = {(r["start"], r["k"]): r for r in rows}
@@ -279,20 +291,20 @@ class TestAlignedSweep:
     def test_unrestricted_count(self):
         g = hs.generate_tiling(3, 7, 2)
         n = g.n_legs
-        rows = cut_sweep(g)
+        rows = list(cut_sweep(g))
         assert len(rows) == n * (n - 1) + 1
         assert rows[0]["k"] == 0
 
     def test_one_leg_tiles_keep_every_row(self):
         g = hs.generate_tiling(3, 7, 2)
         assert all(len(g.boundary_legs[g.owners[j]]) == 1 for j in range(g.n_legs))
-        assert len(cut_sweep(g, vertex_aligned_only=True)) == len(cut_sweep(g))
+        assert len(list(cut_sweep(g, vertex_aligned_only=True))) == len(list(cut_sweep(g)))
 
     def test_aligned_filter_drops_partial_tiles(self):
         g = hs.generate_tiling(5, 4, 3)
         n = g.n_legs
-        full = cut_sweep(g)
-        aligned = cut_sweep(g, vertex_aligned_only=True)
+        full = list(cut_sweep(g))
+        aligned = list(cut_sweep(g, vertex_aligned_only=True))
         assert 1 < len(aligned) < len(full)
         for row in aligned[1:]:
             interval = {(row["start"] + i) % n for i in range(row["k"])}
