@@ -15,7 +15,6 @@ double raises OverflowError naming it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -47,18 +46,26 @@ def fit_ceff(
     A point outside 0 <= k <= N raises ValueError: N is smaller than the
     swept graph's leg count.
     """
-    weighted = points.items() if isinstance(points, Mapping) else zip(points, itertools.repeat(1))
     entries: dict[tuple[float, float], list] = {}  # point -> [x, y, multiplicity]
     sxx = sxy = 0.0
-    for point, count in weighted:
-        entry = entries.get(point)
-        if entry is None:
+    if isinstance(points, Mapping):
+        for point, count in points.items():
             entry = entries[point] = _regressors(point, n_boundary)
-        if entry:
-            x, y, _ = entry
-            sxx += count * x * x
-            sxy += count * x * y
-            entry[2] += count
+            if entry:
+                x, y, _ = entry
+                sxx += count * x * x
+                sxy += count * x * y
+                entry[2] = count
+    else:
+        for point in points:
+            entry = entries.get(point)
+            if entry is None:
+                entry = entries[point] = _regressors(point, n_boundary)
+            if entry:
+                x, y, _ = entry
+                sxx += x * x
+                sxy += x * y
+                entry[2] += 1
     usable = [entry for entry in entries.values() if entry]
     n = sum(count for _, _, count in usable)
     if n < 2:

@@ -223,23 +223,26 @@ def _cmd_ising_ef(args: argparse.Namespace) -> dict:
 
 def _sweep_points(path: str):
     """(k, minC) of each data row of a sweep CSV, in row order, read one line
-    at a time; each distinct text pair is converted to numbers once."""
+    at a time; each distinct text pair is converted to numbers once (int and
+    float take the line's trailing newline as they find it)."""
     numbers: dict[tuple[str, str], tuple[int, float]] = {}
-    header: list[str] | None = None
     with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
+        lines = enumerate(handle, 1)
+        for _, line in lines:
+            if line != "\n" and not line.startswith("#"):
+                break
+        else:
+            return
+        header = line.rstrip("\n").split(",")
+        if "k" not in header or "minC" not in header:
+            raise ValueError(f"{path} has no k,minC header row")
+        k_col, min_col, width = header.index("k"), header.index("minC"), len(header)
+        for number, line in lines:
+            if line == "\n" or line.startswith("#"):
                 continue
             parts = line.split(",")
-            if header is None:
-                header = parts
-                if "k" not in header or "minC" not in header:
-                    raise ValueError(f"{path} has no k,minC header row")
-                k_col, min_col = header.index("k"), header.index("minC")
-                continue
-            if len(parts) != len(header):
-                raise ValueError(f"{path} line {number}: {len(parts)} fields, header has {len(header)}")
+            if len(parts) != width:
+                raise ValueError(f"{path} line {number}: {len(parts)} fields, header has {width}")
             key = parts[k_col], parts[min_col]
             point = numbers.get(key)
             if point is None:
@@ -374,6 +377,9 @@ def run(argv: list[str] | None = None) -> int:
         result = args.func(args)
         if result is not None:
             _emit(result, args, args.out)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,18 +21,21 @@ the two gaps next to it.  A tile's arcs carry its boundary field between
 them; all of it sits on the arc of its first leg, since the tile's links
 to t are parallel: a cut severs all of them or none.  So
 
-    minC = c + dist(a, b),
+    minC = c + dist(a, b).
 
-one dual search per hull start (``_HullCuts``).  Walking the rim arcs all
-the way from a round to b is the global flip, so minC never exceeds the
-total boundary cost; a hull covering the whole rim costs that total.  On
-the generated {3,7} and {5,4} patches the shortest path is either the
-bulk geodesic (the wall around the hull) or that rim walk, so minC =
-min(c + geodesic, total) there; other graphs may mix the two.
+Walking the rim arcs all the way from a round to b is the global flip, so
+minC never exceeds the total boundary cost; a hull covering the whole rim
+costs that total.  On the generated {3,7} and {5,4} patches the shortest
+path is either the bulk geodesic (the wall around the hull) or that rim
+walk, so minC = min(c + geodesic, total) there; other graphs may mix the
+two.
 
-``cut_sweep`` yields its N^2 rows one at a time and keeps no list of them.
-What it holds is each hull start's search, 2N distances apiece, which the
-(k, start) row order revisits for every k.
+All hull starts share one lane-parallel BFS, which gives every bulk hop
+count between their gaps (``_HullCuts``).  Each start then opens the rim
+arcs one tile run at a time, visiting only the runs that can shorten a
+path, and keeps one int per hull end in an ``array``.  ``cut_sweep`` yields
+its N^2 rows one at a time and keeps no list of them; what it holds is
+that table, revisited for every k in the (k, start) row order.
 
 ``min_cut_exact`` -- a max-flow optimizer over all spin configurations
 (source to pinned tiles at infinite capacity, unit capacities on bulk
@@ -48,8 +51,10 @@ The rim data come from the graph, derived once when it is validated:
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
 from .core import PlrResult, SupportMask
@@ -189,7 +194,7 @@ def bulk_geodesic(g: TilingGraph, dual: DualGraph, interval: SupportMask) -> int
         return 0
     node_a = dual.gap_index[start % n]
     node_b = dual.gap_index[(start + k) % n]
-    dist = dual.distances_from(node_a)[node_b]
+    dist = dual.distances_from([node_a]).lane(0, node_b)
     if math.isinf(dist):
         raise ValueError(
             "no dual path between interval endpoints (interval splits a tile's legs); "
@@ -204,25 +209,42 @@ class _HullCuts:
     Holds prefix sums of boundary cost per leg (each tile's cost sits on
     its first leg, which is also the weight of the rim arc crossing that
     leg), each position's distance to the hull ends around it, and, per
-    hull start, the dual distances to every hull end.
+    hull start, the dual distances to every hull end.  Only hulls of the
+    interval starts passed in can be priced.
 
-    A distance is stored as units * scale + rim, where units counts cut
+    One lane BFS (``DualGraph.distances_from``) from the gaps of all those
+    hull starts gives every bulk hop count a search needs.  Hops are
+    symmetric: when every aligned gap is a hull start, a start's counts to
+    the other aligned gaps are the lanes of its own gap's int, and a
+    geodesic is read from a lane, not kept per start.
+
+    The rim between two neighbouring aligned gaps is one tile's run of
+    legs.  A gap inside a run borders only what hangs off that tile between
+    two of its legs, and that holds no legs, because ``TilingGraph`` keeps
+    every tile's legs one run.  So its dual arcs lead nowhere else: no hull
+    start reaches it in hops, and it only relays the rim arcs on either
+    side of it.  The search therefore opens a tile's run as one rim arc
+    between aligned gaps that carries the tile's cost.
+
+    A distance is scaled as units * scale + rim, where units counts cut
     units and rim the boundary cost of the rim arcs on the path.  Among
     shortest paths the search keeps the least rim cost: that is the
     smallest optimal flipped set, the residual-reachable side that
-    max-flow reports, so the (bdryC, bulkC) split agrees with it.
+    max-flow reports, so the (bdryC, bulkC) split agrees with it.  The
+    table stores rim * scale + units instead, so that a hull end whose
+    distance the rim arcs never lower keeps its bare hop count.
     """
 
-    def __init__(self, g: TilingGraph, mode: str):
+    def __init__(self, g: TilingGraph, mode: str, starts: Iterable[int]):
         cost, owner, aligned = g.boundary_cost(mode), g.owners, g.aligned
         n = self.n = g.n_legs
         self.per_leg = mode == "per-leg"
         self.total = sum(cost)
         self.scale = self.total + 1
-        self.leg_cost = [cost[owner[j]] if j in aligned else 0 for j in range(n)]
+        leg_cost = [cost[owner[j]] if j in aligned else 0 for j in range(n)]
         self.prefix = [0]
         for j in range(2 * n):
-            self.prefix.append(self.prefix[-1] + self.leg_cost[j % n])
+            self.prefix.append(self.prefix[-1] + leg_cost[j % n])
         # back[j] / ahead[j]: legs from the aligned position that starts the
         # run of leg j's tile / that ends the run of leg j-1's tile (n when
         # one tile owns the whole rim, so every hull is the whole rim)
@@ -231,48 +253,128 @@ class _HullCuts:
         self.back = [(j - first[owner[j]]) % n for j in range(n)] if aligned else [n] * n
         self.ahead = [(after[owner[j - 1]] - j) % n for j in range(n)] if aligned else [n] * n
         self.dual = dual_graph(g) if aligned else None
-        self.gap_pos = {node: j for j, node in self.dual.gap_index.items()} if aligned else {}
-        self._from: dict[int, tuple[list[float], list[int]]] = {}
+        if not aligned:
+            return
+        # the ring: aligned positions in rim order by rank, the run of rank
+        # i's tile reaching the gap of rank i + 1
+        ring = sorted(aligned)
+        self.rank: list[int | None] = [None] * n
+        for i, j in enumerate(ring):
+            self.rank[j] = i
+        self.gaps = [self.dual.gap_index[j] for j in ring]
+        self.gap_rank = {node: i for i, node in enumerate(self.gaps)}
+        self.weight = [leg_cost[j] * (self.scale + 1) for j in ring]
+        hull_starts = sorted({(s - self.back[s]) % n for s in starts})
+        self.every_start = len(hull_starts) == len(ring)
+        # hull start a's hop counts are lane lane[a], and its part of the
+        # table begins at offset[a]
+        self.lane: list[int | None] = [None] * n
+        self.offset: list[int | None] = [None] * n
+        for i, a in enumerate(hull_starts):
+            self.lane[a], self.offset[a] = i, i * len(ring)
+        self.hops = self.dual.distances_from([self.dual.gap_index[a] for a in hull_starts])
+        # lane-wise weight + 1 per rank; a weight past the lanes' range is
+        # capped, which only lets more arcs through _candidates
+        width = self.hops.width
+        self.low = self.hops.lane_ones(len(ring))
+        cap = (1 << (width - 3)) - 1
+        self.over = self.low + self.hops.pack(min(leg_cost[j], cap) for j in ring)
+        # entries stay below scale^2, and bare hop counts below 2^(width-2)
+        self.code = "I" if self.scale**2 < 1 << 32 and width <= 32 else "Q"
+        self.ends = array(self.code, [0]) * (len(hull_starts) * len(ring))
+        for a in hull_starts:
+            self.ends[self.offset[a] : self.offset[a] + len(ring)] = self._search(a)
 
-    def _search(self, a: int) -> tuple[list[float], list[int]]:
-        """Per hull end b: the bulk geodesic from gap a (in arcs) and the
-        scaled dual distance with the rim arcs outside the hull [a, b)."""
-        n, dual, cost, scale = self.n, self.dual, self.leg_cost, self.scale
-        gap, adj, pos = dual.gap_index, dual.neighbors, self.gap_pos
-        hops = dual.distances_from(gap[a])
-        geodesic = [hops[gap[j]] for j in range(n)]
-        dist = [h * scale for h in hops]
-        ends = [0] * n
+    def _hop_row(self, a: int) -> int:
+        """Hop counts from hull start a's gap to every aligned gap, one lane
+        per rank."""
+        hops = self.hops
+        if self.every_start:
+            return hops.packed[self.gaps[self.rank[a]]]
+        shift, mask = hops.width * self.lane[a], (1 << hops.width) - 1
+        return hops.pack(hops.packed[node] >> shift & mask for node in self.gaps)
+
+    def _candidates(self, row: int, t: int) -> list[int]:
+        """Ranks whose rim arc, opened on the bare hop counts in row, lowers
+        one of its two gaps: their counts differ by more than its weight.
+        Rank t's arc ends at the start and never opens."""
+        width, m = self.hops.width, len(self.gaps)
+        high = self.low << (width - 1)
+        ahead = row >> width | (row & ((1 << width) - 1)) << (width * (m - 1))
+        flags = ((row | high) - ahead - self.over | (ahead | high) - row - self.over) & high
+        flags &= ~(1 << (width * t + width - 1))
+        ranks = []
+        while flags:
+            top = flags.bit_length() - 1
+            ranks.append(top // width)
+            flags ^= 1 << top
+        return ranks
+
+    def _search(self, a: int) -> array:
+        """Per hull end, by rank: the dual distance from gap a with the rim
+        arcs outside the hull [a, b) open, stored as rim * scale + units.
+
+        Opens the rim arcs from the run just behind a backwards; once rank
+        i's arc is open, so is every arc from it round to a, and rank i can
+        end a hull.  Only the opening steps that can lower a distance are
+        visited: the arcs ``_candidates`` finds, and the arcs beside a gap
+        whose distance dropped before they opened.
+        """
+        hops, scale = self.hops, self.scale
+        gaps, gap_rank, weight, adj = self.gaps, self.gap_rank, self.weight, self.dual.neighbors
+        m, t = len(gaps), self.rank[a]
+        packed, unreached = hops.packed, hops.unreached
+        shift, mask = hops.width * self.lane[a], (1 << hops.width) - 1
+        row = self._hop_row(a)
+        ends = array(self.code, hops.unpack(row, m))
+        dist: dict[int, float] = {}
         queue: deque[int] = deque()
 
+        def current(node: int) -> float:
+            value = dist.get(node)
+            if value is None:
+                h = packed[node] >> shift & mask
+                value = math.inf if h == unreached else h * scale
+            return value
+
         def improve(node: int, value: float) -> None:
-            if value < dist[node]:
+            if value < current(node):
                 dist[node] = value
                 queue.append(node)
 
-        # open the rim arcs one by one, from the leg just behind a backwards;
-        # once the arc across leg j is open, so is every arc from j round to
-        # a, and position j can end a hull
-        for r in range(n - 1, 0, -1):
-            j = (a + r) % n
-            u, v = gap[j], gap[(j + 1) % n]
-            weight = cost[j] * (scale + 1)
-            improve(u, dist[v] + weight)
-            improve(v, dist[u] + weight)
+        steps = [-((i - t) % m) for i in self._candidates(row, t)]
+        heapify(steps)
+        step = None
+        while steps:
+            r = -heappop(steps)
+            if r == step:
+                continue
+            step = r
+            i = (t + r) % m
+            u, v = gaps[i], gaps[(i + 1) % m]
+            improve(u, current(v) + weight[i])
+            improve(v, current(u) + weight[i])
             while queue:
                 u = queue.popleft()
                 du = dist[u]
                 for v in adj[u]:
                     improve(v, du + scale)
-                p = pos.get(u)
-                if p is not None:
-                    if (p - a) % n >= r:
-                        improve(gap[(p + 1) % n], du + cost[p] * (scale + 1))
-                    if (p - 1 - a) % n >= r:
-                        improve(gap[(p - 1) % n], du + cost[(p - 1) % n] * (scale + 1))
-            ends[j] = dist[gap[j]]
-        self._from[a] = (geodesic, ends)
-        return geodesic, ends
+                p = gap_rank.get(u)
+                if p is None:
+                    continue
+                # rank p's entry is taken when its own arc opens: a drop up
+                # to that step counts, a later one does not
+                if (p - t) % m <= r:
+                    units, rim = divmod(du, scale)
+                    ends[p] = rim * scale + units
+                # the arcs on either side relax now if open, else at their step
+                for arc, other in ((p, (p + 1) % m), ((p - 1) % m, (p - 1) % m)):
+                    order = (arc - t) % m
+                    if order >= r:
+                        improve(gaps[other], du + weight[arc])
+                    elif order:
+                        heappush(steps, -order)
+        return ends
 
     def cut(self, start: int, k: int, clamp_aligned: bool = True) -> tuple[int, int, int]:
         """(bdryC, bulkC, minC) of the interval of k legs from start.
@@ -289,13 +391,13 @@ class _HullCuts:
         if back + k + ahead >= n:
             return self.total, 0, self.total
         a = (start - back) % n
-        b = (end + ahead) % n
+        b = self.rank[(end + ahead) % n]
         c = self.prefix[a + back + k + ahead] - self.prefix[a]
-        geodesic, ends = self._from.get(a) or self._search(a)
-        units, rim = divmod(ends[b], self.scale)
-        wall = c + geodesic[b]
-        if not clamp_aligned and self.per_leg and c == k and c + units == self.total and wall < math.inf:
-            return c, int(wall) - c, int(wall)
+        rim, units = divmod(self.ends[self.offset[a] + b], self.scale)
+        if not clamp_aligned and self.per_leg and c == k and c + units == self.total:
+            geodesic = self.hops.lane(self.lane[a], self.gaps[b])
+            if geodesic < math.inf:
+                return c, geodesic, c + geodesic
         return c + rim, units - rim, c + units
 
 
@@ -312,7 +414,7 @@ def plr_large_d(
     if bounds is None:
         min_cost = min_cut_exact(g, pinned_for_interval(g, interval), mode).min_cost
     else:
-        min_cost = _HullCuts(g, mode).cut(*bounds)[2]
+        min_cost = _HullCuts(g, mode, bounds[:1]).cut(*bounds)[2]
     result = PlrResult.from_log_w(-min_cost * math.log(d), d)
     # the exponent is exact by construction; avoid round-off in the log
     return PlrResult(w=result.w, shadow_norm_sq=result.shadow_norm_sq, log_d_norm=float(min_cost))
@@ -325,9 +427,9 @@ def cut_sweep(
 
     Returns an iterator over rows ordered by (k, start), with a single zero
     row for k = 0; rows are computed as they are read, so a sweep holds no
-    list of them.  The hull data (dual graph, planarity check) and the
-    oracle check come first, so a graph or argument error raises here, not
-    at the first row.
+    list of them.  The hull data (dual graph, planarity check, every hull
+    start's search) and the oracle check come first, so a graph or argument
+    error raises here, not at the first row.
 
     oracle:
       * "auto"    -- the hull route.  Per-leg rows whose interval is itself
@@ -339,18 +441,18 @@ def cut_sweep(
     """
     if oracle not in ("auto", "maxflow"):
         raise ValueError(f"unknown oracle {oracle!r}")
-    hull = _HullCuts(g, mode)
+    hull = _HullCuts(g, mode, g.aligned if oracle == "auto" else ())
     n, aligned = g.n_legs, g.aligned
+    ring = sorted(aligned)
     solved: dict[frozenset, CutResult] = {}
 
     def rows() -> Iterator[dict]:
         yield {"start": 0, "k": 0, "bdryC": 0, "bulkC": 0, "minC": 0}
         for k in range(1, n):
-            for start in range(n):
-                if vertex_aligned_only and not (start in aligned and (start + k) % n in aligned):
-                    continue
+            starts = [s for s in ring if (s + k) % n in aligned] if vertex_aligned_only else range(n)
+            for start in starts:
                 if oracle == "auto":
-                    bdry, bulk, min_cost = hull.cut(start, k, clamp_aligned=False)
+                    bdry, bulk, min_cost = hull.cut(start, k, False)
                 else:
                     pinned = pinned_for_interval(g, SupportMask.interval(n, start, k))
                     if pinned not in solved:

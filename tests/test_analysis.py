@@ -131,7 +131,7 @@ class TestArcLength:
             arc_length(1.0, math.pi, 1.0)
 
     @given(st.floats(0.01, 0.99), st.floats(0.1, 6.0), st.floats(0.5, 3.0))
-    @settings(max_examples=40)
+    @settings(max_examples=40, derandomize=True)
     def test_inverse_round_trip(self, rho, phi, radius):
         length = arc_length(rho, phi, radius)
         rho_back = (-phi * radius + math.sqrt(length**2 + (phi * radius) ** 2)) / length
@@ -173,7 +173,7 @@ class TestPoincareGeodesic:
     # acosh(1 + 2u) rounds to 0 for u below 1e-16, which broke the triangle
     # inequality here by 2.6e-9
     @example(0.0, 0.0, 1.78e-9, 0.0, 0.5, 0.0)
-    @settings(max_examples=60)
+    @settings(max_examples=60, derandomize=True)
     def test_metric_axioms(self, r1, p1, r2, p2, r3, p3):
         d12 = poincare_geodesic(r1, p1, r2, p2, 1.0)
         d21 = poincare_geodesic(r2, p2, r1, p1, 1.0)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -402,6 +403,24 @@ class TestErrors:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "kept.csv"]
         assert kept.read_text() == "old\n"
 
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # a handler that runs out of memory, at once or after a streamed
+        # row, exits 1 with one line and leaves no --out file
+        def sweep_out_of_memory(g, **kwargs):
+            raise MemoryError
+
+        def rows_out_of_memory(g, **kwargs):
+            yield {"start": 0, "k": 0, "bdryC": 0, "bulkC": 0, "minC": 0}
+            raise MemoryError
+
+        gpath, out = tmp_path / "g.json", tmp_path / "s.csv"
+        hs.generate_tiling(3, 7, 2).save(gpath)
+        for stand_in in (sweep_out_of_memory, rows_out_of_memory):
+            monkeypatch.setattr(hs.cuts, "cut_sweep", stand_in)
+            assert run(["cut", "sweep", "--graph", str(gpath), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "error: out of memory\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
+
     def test_missing_graph_file(self, tmp_path):
         assert run(["cut", "sweep", "--graph", str(tmp_path / "nope.json")]) == 1
 
@@ -617,6 +636,23 @@ class TestDeterminism:
             assert run(args + ["--out", str(a), "--no-timestamp"]) == 0
             assert run(args + ["--out", str(b), "--no-timestamp"]) == 0
             assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "p,q,layers,flags,digest",
+        [
+            (3, 7, 5, [], "f5027f1d46a5d3f420b9b61155a263ad3997dc378366ddbc1afbfc0feac243bd"),
+            (5, 4, 4, ["--mode", "per-vertex"], "a4b5963cd04298c960f77561f6e4413d07f625bf0570e9623593b64230872fa1"),
+            (5, 4, 4, ["--vertex-aligned"], "65572c59fc351f7be7574a04d9c2580820c0bc20267b7d3cfdf4960a6eba1253"),
+        ],
+    )
+    def test_sweep_csv_is_pinned(self, tmp_path, monkeypatch, p, q, layers, flags, digest):
+        # sha256 of the whole file, config line included, so the graph is
+        # named by a path relative to the working directory
+        monkeypatch.chdir(tmp_path)
+        graph = f"g{p}{q}.json"
+        assert run(["tiling", "gen", "--p", str(p), "--q", str(q), "--layers", str(layers), "--out", graph]) == 0
+        assert run(["cut", "sweep", "--graph", graph, *flags, "--no-timestamp", "--out", "s.csv"]) == 0
+        assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == digest
 
     def test_timestamp_present_by_default(self, tmp_path):
         out = tmp_path / "t.json"

@@ -40,6 +40,7 @@ class TestShadowNorm:
             shadow_norm(bad)
 
     @given(st.floats(min_value=1e-12, max_value=1.0), st.floats(min_value=1e-12, max_value=1.0))
+    @settings(derandomize=True)
     def test_strictly_decreasing(self, w1, w2):
         if w1 < w2:
             assert shadow_norm(w1) > shadow_norm(w2)
@@ -136,7 +137,7 @@ class TestPlrFromEf:
             plr_from_ef(big, {}, 2)
 
     @given(st.integers(0, 255), st.integers(2, 4))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_maximally_mixed_ef_telescopes_to_zero(self, bits, d):
         # W(B) = d^-|B| (maximally mixed features): the alternating sum
         # telescopes, so only the identity Pauli survives
@@ -146,7 +147,7 @@ class TestPlrFromEf:
         assert got == (1 if support.is_empty else 0)
 
     @given(st.integers(0, 255), st.integers(2, 4))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_all_ones_ef_is_local_measurement_rate(self, bits, d):
         # W(B) = 1 for all B (pure product features) gives the random
         # local-basis measurement rate (d+1)^-k

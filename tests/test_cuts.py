@@ -9,6 +9,7 @@ import pytest
 import holoshadow as hs
 from holoshadow.core import SupportMask
 from holoshadow.cuts import (
+    _HullCuts,
     bulk_geodesic,
     cut_sweep,
     min_cut_exact,
@@ -40,6 +41,16 @@ def hub_graph():
         edges += [(tile, 0), (tile, 1), (tile, chain[i + 1] if i < 4 else hub)]
     edges += [(hub, v) for v in range(2, 12)]
     return drawn_graph(points, edges, [(v, 1) for v in range(12)])
+
+
+def hung_tile_graph():
+    """A pentagon of rim tiles; tile 0 owns two legs, and between them hang
+    two leg-less tiles, 5 and 6, in a triangle with it.  So the gap between
+    tile 0's legs, inside its run, borders the triangle's face."""
+    points = [(10 * math.cos(2 * math.pi * i / 5), 10 * math.sin(2 * math.pi * i / 5)) for i in range(5)]
+    points += [(30.0, 0.5), (30.0, -0.5)]
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(0, 5), (5, 6), (0, 6)]
+    return drawn_graph(points, edges, [(0, 2), (1, 1), (2, 1), (3, 1), (4, 1)])
 
 
 def assert_sweep_matches(g, oracle):
@@ -240,6 +251,27 @@ class TestCutSweep:
         for mode in ("per-leg", "per-vertex"):
             row = next(r for r in cut_sweep(g, mode) if (r["start"], r["k"]) == (0, 1))
             assert (row["bdryC"], row["bulkC"], row["minC"]) == (2, 3, 5)
+
+    def test_tile_hung_inside_a_run_matches_maxflow(self):
+        g = hung_tile_graph()
+        dual = dual_graph(g)
+        inside = next(j for j in range(g.n_legs) if j not in g.aligned)
+        assert dual.neighbors[dual.gap_index[inside]]
+        assert_sweep_matches(g, oracle_sweep)
+        assert_sweep_matches(g, package_oracle)
+
+    def test_one_start_prices_as_every_start(self, graphs54):
+        # plr_large_d's hull reads its hop counts lane by lane; the sweep's
+        # reads them off its own gap's int
+        rng = np.random.default_rng(3)
+        for g in (graphs54[3], hung_tile_graph(), random_planar_graph(rng, 20, 0.3)):
+            n = g.n_legs
+            for mode in ("per-leg", "per-vertex"):
+                every = _HullCuts(g, mode, g.aligned)
+                for start in range(n):
+                    one = _HullCuts(g, mode, [start])
+                    for k in range(1, n):
+                        assert one.cut(start, k, False) == every.cut(start, k, False), (mode, start, k)
 
     def test_random_planar_graphs_match_maxflow(self):
         # Delaunay graphs with edges deleted: many cheapest regions here

@@ -3,9 +3,13 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import holoshadow as hs
 from holoshadow import tiling
@@ -21,7 +25,7 @@ from holoshadow.tiling import (
     two_tile_graph,
 )
 
-from conftest import enumerated_log_z, oracle_sweep
+from conftest import enumerated_log_z, oracle_sweep, random_planar_graph
 
 # sha256 of the graph file each patch saves as: the generator's output is
 # pinned byte for byte, since sweep digests and graph files depend on it;
@@ -327,6 +331,62 @@ class TestDualGraph:
         data["rotation"][(v + 1) % len(data["rotation"])].append(["leg", 0])
         with pytest.raises(ValueError, match="each leg at its tile"):
             TilingGraph.from_json_dict(data)
+
+
+def _bfs_duals():
+    """Duals the lane BFS is checked on: {3,7}x2-4, {5,4}x2-3 (whose gaps
+    inside a tile's run are isolated) and random planar graphs."""
+    rng = np.random.default_rng(11)
+    graphs = [hs.generate_tiling(3, 7, layers) for layers in (2, 3, 4)]
+    graphs += [hs.generate_tiling(5, 4, layers) for layers in (2, 3)]
+    graphs += [random_planar_graph(rng, int(rng.integers(8, 30)), float(rng.random()) / 2) for _ in range(5)]
+    return [dual_graph(g) for g in graphs]
+
+
+BFS_DUALS = _bfs_duals()
+# {5,4}x3: two isolated gaps, the first repeated, and a gap with dual arcs
+_ISOLATED = [node for node in BFS_DUALS[4].gap_index.values() if not BFS_DUALS[4].neighbors[node]]
+_CONNECTED = next(node for node in BFS_DUALS[4].gap_index.values() if BFS_DUALS[4].neighbors[node])
+
+
+def plain_bfs(dual, source):
+    """Hop counts from one node over the dual's arcs, math.inf where none."""
+    adj = [[] for _ in range(dual.n_nodes)]
+    for a, b, _ in dual.arcs:
+        adj[a].append(b)
+        adj[b].append(a)
+    dist = [math.inf] * dual.n_nodes
+    dist[source] = 0
+    queue = [source]
+    for u in queue:
+        for v in adj[u]:
+            if dist[v] == math.inf:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+class TestLaneBfs:
+    @given(st.sampled_from(range(len(BFS_DUALS))), st.lists(st.integers(0, 10**6), min_size=1, max_size=120))
+    @example(4, [_ISOLATED[0], _ISOLATED[0], _CONNECTED, _ISOLATED[1], _CONNECTED])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_lanes_match_plain_bfs(self, which, draws):
+        # sources may repeat, and an isolated gap reaches nothing else
+        dual = BFS_DUALS[which]
+        sources = [x % dual.n_nodes for x in draws]
+        hops = dual.distances_from(sources)
+        for i, source in enumerate(sources):
+            assert [hops.lane(i, v) for v in range(dual.n_nodes)] == plain_bfs(dual, source)
+
+    def test_every_gap_at_once(self):
+        # one lane per gap of {3,7}x4: wide ints, and hops are symmetric
+        dual = BFS_DUALS[2]
+        gaps = sorted(dual.gap_index.values())
+        hops = dual.distances_from(gaps)
+        for i, a in enumerate(gaps):
+            want = plain_bfs(dual, a)
+            assert [hops.lane(i, v) for v in range(dual.n_nodes)] == want
+            assert [hops.lane(j, a) for j in range(len(gaps))] == [want[b] for b in gaps]
 
 
 class TestEveryHyperbolicTiling:
