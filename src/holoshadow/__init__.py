@@ -7,8 +7,8 @@ by variable elimination.
 """
 
 from .analysis import FitResult, arc_length, ceff_approx, ceff_continuous, fit_ceff, poincare_geodesic
-from .core import ModelParams, PlrResult, SupportMask, WVector, plr_from_ef
-from .cuts import CutResult, bulk_geodesic, cut_sweep, min_cut_exact, plr_large_d
+from .core import CutResult, ModelParams, PlrResult, SupportMask, WVector, plr_from_ef
+from .cuts import bulk_geodesic, cut_sweep, min_cut_exact, plr_large_d
 from .ising import SpinModel, entanglement_feature, optimality_check, plr_exact, renyi_vs_cut
 from .lambertw import lambert_w
 from .tiling import DualGraph, TilingGraph, boundary_size, dual_graph, generate_tiling, two_tile_graph
@@ -25,7 +25,6 @@ from .tree import (
     leaf_vector,
     plr_tree,
     q_series,
-    shallow_reference,
     tree_large_d_cuts,
 )
 

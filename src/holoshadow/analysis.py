@@ -4,12 +4,13 @@ On a hyperbolic tensor network the squared shadow norm of a contiguous
 k-leg interval scales as d^(k + c_eff ln min(k, N-k)): the boundary cut
 pays k and the bulk geodesic grows logarithmically with the interval,
 with proportionality constant c_eff (in cut units, i.e. with the 1/ln d
-factor absorbed).  ``fit_ceff`` extracts c_eff from sweep data by least
-squares through the origin in the transformed variable; ``ceff_approx`` is
-the cheap half-boundary estimate (2l+1 or 7l/2+1/2 cut lengths over
-ln(N/2)); the remaining functions give the continuum limit on the
-Poincare disk of radius of curvature R (0 < R < inf, 0 <= rho < 1,
-0 < phi < 2 pi), where c_eff approaches 2R.  A result too large for a
+factor absorbed).  ``fit_ceff`` extracts c_eff from one pass over a
+sweep's (k, minC) points, in row order, by least squares through the
+origin in the transformed variable; ``ceff_approx`` is the cheap
+half-boundary estimate (2l+1 or 7l/2+1/2 cut lengths over ln(N/2)); the
+remaining functions give the continuum limit on the Poincare disk of
+radius of curvature R (0 < R < inf, 0 <= rho < 1, 0 < phi < 2 pi), where
+c_eff approaches 2R.  A result too large for a
 double raises OverflowError naming it.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -30,42 +31,29 @@ class FitResult:
     n_points: int
 
 
-def fit_ceff(
-    points: Iterable[tuple[float, float]] | Mapping[tuple[float, float], int], n_boundary: int
-) -> FitResult:
+def fit_ceff(points: Iterable[tuple[float, float]], n_boundary: int) -> FitResult:
     """Least-squares c_eff from (k, log_d norm) sweep points.
 
-    points is an iterable of points, or a point -> multiplicity mapping
-    such as a ``collections.Counter``, so a sweep's rows need not be held
-    in a list.  Fits log_d_norm - k = c_eff * ln(min(k, N-k)) through the
-    origin.  The sums of x^2 and x*y run over the points in the order given,
-    so a list gives the same bits as summing it row by row; the regressors
-    are computed, and the residuals summed, once per distinct point, times
-    its multiplicity.
+    points is any iterable, a generator included, so a sweep's rows need
+    not be held in a list.  Fits log_d_norm - k = c_eff * ln(min(k, N-k))
+    through the origin.  The sums of x^2 and x*y run over the points in
+    the order given; the regressors are computed, and the residuals summed,
+    once per distinct point, times the number of times it occurs.
     k = 0 and k = N points are discarded (the regressor is undefined there).
     A point outside 0 <= k <= N raises ValueError: N is smaller than the
     swept graph's leg count.
     """
     entries: dict[tuple[float, float], list] = {}  # point -> [x, y, multiplicity]
     sxx = sxy = 0.0
-    if isinstance(points, Mapping):
-        for point, count in points.items():
+    for point in points:
+        entry = entries.get(point)
+        if entry is None:
             entry = entries[point] = _regressors(point, n_boundary)
-            if entry:
-                x, y, _ = entry
-                sxx += count * x * x
-                sxy += count * x * y
-                entry[2] = count
-    else:
-        for point in points:
-            entry = entries.get(point)
-            if entry is None:
-                entry = entries[point] = _regressors(point, n_boundary)
-            if entry:
-                x, y, _ = entry
-                sxx += x * x
-                sxy += x * y
-                entry[2] += 1
+        if entry:
+            x, y, _ = entry
+            sxx += x * x
+            sxy += x * y
+            entry[2] += 1
     usable = [entry for entry in entries.values() if entry]
     n = sum(count for _, _, count in usable)
     if n < 2:

@@ -34,7 +34,7 @@ import sys
 import time
 
 from . import analysis, cuts, ising, tiling, tree
-from .core import ModelParams, PlrResult, SupportMask
+from .core import ModelParams, PlrResult, SupportMask, minus_log_d
 
 
 def _parse_support(text: str, n: int) -> SupportMask:
@@ -174,7 +174,7 @@ def _cmd_tree_table(args: argparse.Namespace) -> tuple:
 def _cmd_tree_crossover(args: argparse.Namespace) -> dict:
     k_lo, k_hi = tree.crossover_kstar(args.d)
     payload = {
-        "x": tree.q_series(args.d) + math.log(args.d**2 / (args.d**2 - 1)),
+        "x": tree.crossover_x(args.d),
         "k_lo": k_lo,
         "k_hi": k_hi,
         "k_numeric": tree.crossover_numeric(args.d, args.k_max),
@@ -216,15 +216,16 @@ def _cmd_ising_ef(args: argparse.Namespace) -> dict:
     log_w = ising.log_entanglement_feature(model, region)
     return {
         "W": _normal_or_null(math.exp(log_w)),
-        "minus_log_d_W": -log_w / math.log(args.d),
+        "minus_log_d_W": minus_log_d(log_w, args.d),
         "region_vertices": sorted(region),
     }
 
 
 def _sweep_points(path: str):
     """(k, minC) of each data row of a sweep CSV, in row order, read one line
-    at a time; each distinct text pair is converted to numbers once (int and
-    float take the line's trailing newline as they find it)."""
+    at a time; each distinct text pair is converted to numbers, and checked
+    to be an int and a finite float, once (int and float take the line's
+    trailing newline as they find it)."""
     numbers: dict[tuple[str, str], tuple[int, float]] = {}
     with open(path, encoding="utf-8") as handle:
         lines = enumerate(handle, 1)
@@ -246,7 +247,13 @@ def _sweep_points(path: str):
             key = parts[k_col], parts[min_col]
             point = numbers.get(key)
             if point is None:
-                point = numbers[key] = (int(key[0]), float(key[1]))
+                with contextlib.suppress(ValueError):
+                    point = int(key[0]), float(key[1])
+                if point is None or not math.isfinite(point[1]):
+                    raise ValueError(
+                        f"{path} line {number}: k must be an integer and minC a finite number, got {line.strip()!r}"
+                    )
+                numbers[key] = point
             yield point
 
 

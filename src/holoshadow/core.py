@@ -28,19 +28,15 @@ MAX_SUBSET_SUPPORT = 20
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Bond dimension d and the couplings J = h = ln(d)/2 of the cut model:
-    the Ising coupling and the boundary field.  The gate's mismatch weight
-    is ``mismatch_weight(d)``."""
+    """Bond dimension d and the coupling h = ln(d)/2 of the cut model, both
+    the Ising coupling J and the boundary field.  The gate's mismatch
+    weight is ``mismatch_weight(d)``."""
 
     d: int
 
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError(f"local dimension d must be >= 2, got {self.d}")
-
-    @property
-    def J(self) -> float:
-        return 0.5 * math.log(self.d)
 
     @property
     def h(self) -> float:
@@ -103,15 +99,8 @@ class SupportMask:
     def k(self) -> int:
         return len(self.sites)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.sites
-
     def __contains__(self, site: int) -> bool:
         return site in self.sites
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.sites))
 
     def union(self, other: "SupportMask") -> "SupportMask":
         if other.n != self.n:
@@ -140,6 +129,27 @@ class SupportMask:
 
 
 @dataclass(frozen=True)
+class CutResult:
+    """Decomposed minimal-cut cost for one pinned boundary region.
+
+    Ties between minimum cuts affect only the reported decomposition and
+    witness, never ``min_cost``; the witness (flipped-tile set, when
+    requested) is the deterministic residual-reachable side.
+    """
+
+    bdry_cost: int
+    bulk_cost: int
+    min_cost: int
+    witness: frozenset | None = None
+
+
+def minus_log_d(log_x: float, d: int) -> float:
+    """-log_d x from ln x: 0.0 - ln x, not -ln x, so that x = 1 gives 0.0
+    and not -0.0; every other value keeps its bits."""
+    return (0.0 - log_x) / math.log(d)
+
+
+@dataclass(frozen=True)
 class PlrResult:
     """Pauli learning rate with its derived sample-complexity measures."""
 
@@ -156,14 +166,14 @@ class PlrResult:
             log_w = math.log(w.numerator) - math.log(w.denominator)
         else:
             log_w = math.log(w)
-        return cls(w=w, shadow_norm_sq=1 / w, log_d_norm=-log_w / math.log(d))
+        return cls(w=w, shadow_norm_sq=1 / w, log_d_norm=minus_log_d(log_w, d))
 
     @classmethod
     def from_log_w(cls, log_w: float, d: int) -> "PlrResult":
         """Build from ln(w); keeps extreme exponents finite in log space."""
         w = math.exp(log_w) if log_w > -745.0 else 0.0
         norm = math.exp(-log_w) if -log_w < 709.0 else math.inf
-        return cls(w=w, shadow_norm_sq=norm, log_d_norm=-log_w / math.log(d))
+        return cls(w=w, shadow_norm_sq=norm, log_d_norm=minus_log_d(log_w, d))
 
 
 def subsets_of(sites: Iterable[int]) -> Iterator[frozenset]:

@@ -25,10 +25,11 @@ to t are parallel: a cut severs all of them or none.  So
 
 Walking the rim arcs all the way from a round to b is the global flip, so
 minC never exceeds the total boundary cost; a hull covering the whole rim
-costs that total.  On the generated {3,7} and {5,4} patches the shortest
-path is either the bulk geodesic (the wall around the hull) or that rim
-walk, so minC = min(c + geodesic, total) there; other graphs may mix the
-two.
+costs that total.  On every generated patch the shortest path is either
+the bulk geodesic (the wall around the hull) or that rim walk, so
+minC = min(c + geodesic, total) there (checked for {3,7}, {5,4}, {4,5},
+{3,8}, {6,4}, {5,5}, {4,6}, {3,9}, {7,3} and {8,3}); other graphs may
+mix the two.
 
 All hull starts share one lane-parallel BFS, which gives every bulk hop
 count between their gaps (``_HullCuts``).  Each start then opens the rim
@@ -53,28 +54,11 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
-from .core import PlrResult, SupportMask
+from .core import CutResult, PlrResult, SupportMask
 from .tiling import DualGraph, TilingGraph, dual_graph
-
-
-@dataclass(frozen=True)
-class CutResult:
-    """Decomposed minimal-cut cost for one pinned boundary region.
-
-    Ties between minimum cuts affect only the reported decomposition and
-    witness, never ``min_cost``; the witness (flipped-tile set, when
-    requested) is the deterministic residual-reachable side.
-    """
-
-    bdry_cost: int
-    bulk_cost: int
-    min_cost: int
-    mode: str
-    witness: frozenset | None = None
 
 
 def pinned_for_interval(g: TilingGraph, interval: SupportMask) -> frozenset:
@@ -179,7 +163,7 @@ def min_cut_exact(g: TilingGraph, pinned_vertices: Iterable[int], mode: str = "p
     if bdry + bulk != flow:
         raise RuntimeError(f"cut decomposition {bdry}+{bulk} != flow {flow}")
     witness = frozenset(v for v in range(g.n_vertices) if reach[v])
-    return CutResult(bdry_cost=bdry, bulk_cost=bulk, min_cost=flow, mode=mode, witness=witness)
+    return CutResult(bdry_cost=bdry, bulk_cost=bulk, min_cost=flow, witness=witness)
 
 
 def bulk_geodesic(g: TilingGraph, dual: DualGraph, interval: SupportMask) -> int:
@@ -408,11 +392,10 @@ def plr_large_d(
     the hull route, other supports ``min_cut_exact``."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    if interval.n != g.n_legs:
-        raise ValueError(f"interval over {interval.n} legs, graph has {g.n_legs}")
+    pinned = pinned_for_interval(g, interval)  # checks the leg count
     bounds = interval.contiguous_bounds()
     if bounds is None:
-        min_cost = min_cut_exact(g, pinned_for_interval(g, interval), mode).min_cost
+        min_cost = min_cut_exact(g, pinned, mode).min_cost
     else:
         min_cost = _HullCuts(g, mode, bounds[:1]).cut(*bounds)[2]
     result = PlrResult.from_log_w(-min_cost * math.log(d), d)

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import ModelParams, PlrResult, SupportMask
+from .core import ModelParams, PlrResult, SupportMask, minus_log_d
 from .cuts import bulk_geodesic, pinned_for_interval
 from .tiling import TilingGraph, dual_graph
 
@@ -167,22 +167,18 @@ def renyi_vs_cut(
     """Tabulate -log_d W(region) against the bulk geodesic for each d.
 
     The difference converges to zero as d grows; the empty interval maps
-    to (0, 0) at every d.  The model gives the graph, mode and order, not
-    d: each d is two sums at its own coupling.
+    to (0, 0) at every d, since its two sums are equal.  The model gives
+    the graph, mode and order, not d: each d is two sums at its own
+    coupling.
     """
     g = model.graph
-    if interval.is_empty:
-        bulk = 0
-    else:
-        bulk = bulk_geodesic(g, dual_graph(g), interval)
+    bulk = bulk_geodesic(g, dual_graph(g), interval)
     tau = dict.fromkeys(pinned_for_interval(g, interval), -1)
     rows = []
     for d in d_list:
         coupling = ModelParams(d).h
-        log_w = 0.0
-        if tau:
-            log_w = _log_boltzmann_sum(model, coupling, {}, tau) - _log_boltzmann_sum(model, coupling, {}, {})
-        rows.append({"d": d, "renyi_over_log_d": -log_w / math.log(d), "bulkC": bulk})
+        log_w = _log_boltzmann_sum(model, coupling, {}, tau) - _log_boltzmann_sum(model, coupling, {}, {})
+        rows.append({"d": d, "renyi_over_log_d": minus_log_d(log_w, d), "bulkC": bulk})
     return rows
 
 
@@ -191,16 +187,14 @@ def optimality_check(model: SpinModel, region_legs: SupportMask) -> bool:
 
     Every non-empty sub-support pins a subset of the region's tiles, and
     pinning fewer tiles sums over more configurations of positive weight,
-    so the least rate is the region's own: one pinned sum.  Compared in
-    log_d space, -log_d w >= k + log_d(1 + d^-k), so that no d overflows.
-    Vacuously true for the empty region.  Can fail in per-vertex mode for
-    regions not covering all legs of a tile, where the pinned-spin rate
-    floors at the tile level.
+    so the least rate is the region's own, ``plr_exact`` of the region: one
+    pinned sum.  Compared in log_d space, -log_d w >= k + log_d(1 + d^-k),
+    so that no d overflows.  Vacuously true for the empty region.  Can fail
+    in per-vertex mode for regions not covering all legs of a tile, where
+    the pinned-spin rate floors at the tile level.
     """
     k = region_legs.k
     if k == 0:
         return True
     log_d = math.log(model.params.d)
-    bound = k + math.log1p(math.exp(-k * log_d)) / log_d
-    pinned = dict.fromkeys(pinned_for_interval(model.graph, region_legs), -1)
-    return (model.log_z - _log_boltzmann_sum(model, model.params.h, pinned, {})) / log_d >= bound
+    return plr_exact(model, region_legs).log_d_norm >= k + math.log1p(math.exp(-k * log_d)) / log_d

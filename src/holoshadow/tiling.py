@@ -206,22 +206,18 @@ class DualGraph:
     """Regions of the planar embedding, with the outer region split per gap.
 
     One node per interior region, one gap node per boundary position
-    (between consecutive legs); one arc per bulk edge, crossing it.
-    ``gap_index[j]`` is the node of the gap *before* leg j (between legs
-    j-1 and j); the interior regions are the other n_nodes - len(gap_index)
-    nodes, numbered first.
+    (between consecutive legs); one arc per bulk edge, crossing it, listed
+    in ``neighbors`` at both of its ends.  ``gap_index[j]`` is the node of
+    the gap *before* leg j (between legs j-1 and j); the interior regions
+    are the other n_nodes - len(gap_index) nodes, numbered first.
     """
 
-    n_nodes: int
-    arcs: list[tuple[int, int, int]]  # (node_a, node_b, bulk edge index)
+    neighbors: list[list[int]]
     gap_index: dict[int, int]
-    neighbors: list[list[int]] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.neighbors = [[] for _ in range(self.n_nodes)]
-        for a, b, _ in self.arcs:
-            self.neighbors[a].append(b)
-            self.neighbors[b].append(a)
+    @property
+    def n_nodes(self) -> int:
+        return len(self.neighbors)
 
     def distances_from(self, sources: Sequence[int]) -> HopLanes:
         """Unweighted BFS hop counts from every node in sources at once.
@@ -600,10 +596,11 @@ def dual_graph(g: TilingGraph) -> DualGraph:
             i = (i + 1) % size
         # the leg dart itself bounds both neighbouring gaps; no region needed
 
-    arcs: list[tuple[int, int, int]] = []
-    for e, (u, v) in enumerate(g.edges):
-        su = entry_slot[("edge", u, v)]
-        sv = entry_slot[("edge", v, u)]
-        arcs.append((dart_region[(u, su)], dart_region[(v, sv)], e))
+    neighbors: list[list[int]] = [[] for _ in range(nodes)]
+    for u, v in g.edges:
+        a = dart_region[(u, entry_slot[("edge", u, v)])]
+        b = dart_region[(v, entry_slot[("edge", v, u)])]
+        neighbors[a].append(b)
+        neighbors[b].append(a)
 
-    return DualGraph(n_nodes=nodes, arcs=arcs, gap_index=gap_index)
+    return DualGraph(neighbors=neighbors, gap_index=gap_index)

@@ -48,8 +48,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, TypeVar
 
-from .core import PlrResult, Real, SupportMask, WVector, mismatch_weight
-from .cuts import CutResult
+from .core import CutResult, PlrResult, Real, SupportMask, WVector, mismatch_weight, subsets_of
 from .lambertw import lambert_w
 
 #: eta-model enumeration cap: 2^(N-1) gate assignments.
@@ -60,8 +59,6 @@ MAX_BRUTEFORCE_LEAVES = 16
 #: holds a particle.  14000 bits (4215 digits) keeps the printed fraction
 #: under CPython's default 4300-digit limit on int-to-str conversion.
 MAX_EXACT_BITS = 14000
-
-_LOG_MAX = math.log(1.7e308)
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,6 @@ class BetaResult:
 
     q: float
     beta_norm: float
-    beta_w: float
 
 
 class FusionLabel(Enum):
@@ -147,9 +143,11 @@ def _fold_runs(
     return runs[0][0]
 
 
-def _pair_runs(support: SupportMask) -> list[tuple[bool, int]]:
+def _pair_runs(support: SupportMask, spec: TreeSpec) -> list[tuple[bool, int]]:
     """Runs (particle-like, count) of the N/2 coarse leaf pairs (2i, 2i+1);
     a pair is particle-like when either of its qudits is in the support."""
+    if support.n != spec.n:
+        raise ValueError(f"support is over {support.n} sites but the tree has {spec.n} leaves")
     runs: list[tuple[bool, int]] = []
     end = 0  # first pair not yet in a run
     for pair in sorted({site // 2 for site in support.sites}):
@@ -193,9 +191,7 @@ def plr_tree(support: SupportMask, spec: TreeSpec, exact: bool = False) -> PlrRe
     arithmetic, while the bound on the root denominator's bit length stays
     within MAX_EXACT_BITS.
     """
-    if support.n != spec.n:
-        raise ValueError(f"support is over {support.n} sites but the tree has {spec.n} leaves")
-    runs = _pair_runs(support)
+    runs = _pair_runs(support, spec)
     if not exact:
         return PlrResult.from_log_w(_log_w(runs, spec.d), spec.d)
     mixed_bits = math.log2(spec.d**2 + 1)
@@ -271,8 +267,6 @@ def ef_table(
     support: SupportMask, spec: TreeSpec, exact: bool = False
 ) -> Mapping[frozenset, Real]:
     """W(B) for every subset B of `support`, keyed by frozenset of sites."""
-    from .core import subsets_of
-
     return {
         b: ef_bruteforce(SupportMask(spec.n, b), spec, exact) for b in subsets_of(support.sites)
     }
@@ -282,7 +276,7 @@ def ef_table(
 # contiguous supports: g-sequence, Q(d) series, norm base beta
 
 
-def g_sequence(d: int, m: int, exact: bool = False) -> list[Real]:
+def g_sequence(d: int, m: int) -> list[float]:
     """First m terms of the contiguous-support ratio sequence.
 
     g_0 = -1/d; g_t = g_{t-1} (g_{t-1} + 2a) / (1 + 2a g_{t-1}).  The
@@ -291,8 +285,8 @@ def g_sequence(d: int, m: int, exact: bool = False) -> list[Real]:
     """
     if m < 1:
         raise ValueError("need at least one term")
-    a2 = 2 * mismatch_weight(d, exact=exact)
-    g: Real = Fraction(-1, d) if exact else -1.0 / d
+    a2 = 2 * mismatch_weight(d)
+    g = -1.0 / d
     out = [g]
     for _ in range(m - 1):
         g = g * (g + a2) / (1 + a2 * g)
@@ -318,10 +312,10 @@ def q_series(d: int) -> float:
 
 
 def beta(d: int) -> BetaResult:
-    """Norm base beta = (d^2-1)/(d e^Q(d)); PLR base beta_w = 1/beta."""
+    """Norm base beta = (d^2-1)/(d e^Q(d)); the contiguous PLR falls as 1/beta^k."""
     q = q_series(d)
     beta_norm = (d * d - 1) / (d * math.exp(q))
-    return BetaResult(q=q, beta_norm=beta_norm, beta_w=1.0 / beta_norm)
+    return BetaResult(q=q, beta_norm=beta_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +344,7 @@ def tree_large_d_cuts(support: SupportMask, spec: TreeSpec) -> CutResult:
     algebra; bdryC is twice the number of particle leaves, bulkC the number
     of particle+hole fusions, and w ~ d^-(bdryC+bulkC).
     """
-    if support.n != spec.n:
-        raise ValueError(f"support is over {support.n} sites but the tree has {spec.n} leaves")
-    runs = _pair_runs(support)
+    runs = _pair_runs(support, spec)
 
     def fuse_counted(
         left: tuple[FusionLabel, int], right: tuple[FusionLabel, int]
@@ -362,7 +354,7 @@ def tree_large_d_cuts(support: SupportMask, spec: TreeSpec) -> CutResult:
 
     _, bulk = _fold_runs(runs, (FusionLabel.HOLE, 0), (FusionLabel.PARTICLE, 0), fuse_counted)
     bdry = 2 * sum(count for flag, count in runs if flag)
-    return CutResult(bdry_cost=bdry, bulk_cost=bulk, min_cost=bdry + bulk, mode="tree-fusion")
+    return CutResult(bdry_cost=bdry, bulk_cost=bulk, min_cost=bdry + bulk)
 
 
 # ---------------------------------------------------------------------------
@@ -376,24 +368,19 @@ def log_shallow_reference(k: int, d: int) -> float:
     return math.log(k) + k * math.log(d)
 
 
-def shallow_reference(k: int, d: int) -> float:
-    """Reference squared shadow norm k d^k of an optimal-depth shallow circuit."""
-    log_val = log_shallow_reference(k, d)
-    if log_val > _LOG_MAX:
-        raise OverflowError(
-            f"k d^k overflows a float for k={k}, d={d}; use log_shallow_reference"
-        )
-    return k * float(d) ** k
+def crossover_x(d: int) -> float:
+    """The crossover variable x = Q(d) + ln(d^2/(d^2-1)) of ``crossover_kstar``."""
+    return q_series(d) + math.log(d * d / (d * d - 1.0))
 
 
 def crossover_kstar(d: int) -> tuple[float, float]:
     """Closed-form tree/shallow crossover supports from the Lambert W function.
 
     Solves k d^k = ((d^2-1)/d)^k e^(-Q k) for k, giving k = W(x)/x with
-    x = Q(d) + ln(d^2/(d^2-1)); returns (W_0 branch, W_-1 branch).  Raises
+    x = ``crossover_x(d)``; returns (W_0 branch, W_-1 branch).  Raises
     ValueError when x falls outside (-1/e, 0) and no real crossover exists.
     """
-    x = q_series(d) + math.log(d * d / (d * d - 1.0))
+    x = crossover_x(d)
     if not -1.0 / math.e < x < 0.0:
         raise ValueError(f"no real crossover: x = {x} outside (-1/e, 0)")
     return lambert_w(x, 0) / x, lambert_w(x, -1) / x

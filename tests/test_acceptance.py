@@ -24,7 +24,7 @@ from holoshadow.cuts import (
 )
 from holoshadow.lambertw import lambert_w
 from holoshadow.tiling import boundary_size, dual_graph, two_tile_graph
-from holoshadow.tree import TreeSpec
+from holoshadow.tree import TreeSpec, log_shallow_reference
 
 from conftest import bfs_route_points
 
@@ -294,11 +294,11 @@ def test_criterion_13_lambert_w_and_crossover():
             w = lambert_w(x, branch)
             worst = max(worst, abs(w * math.exp(w) - x))
     norm_k4 = hs.plr_tree(SupportMask.interval(4, 0, 4), TreeSpec(4, 2)).shadow_norm_sq
-    shallow_k4 = hs.shallow_reference(4, 2)
+    log_shallow_k4 = log_shallow_reference(4, 2)
     crossover = hs.crossover_numeric(2, 512)
     ok = (
         worst <= 1e-10
-        and norm_k4 < shallow_k4
+        and math.log(norm_k4) < log_shallow_k4
         and crossover is not None
         and crossover > 4
     )
@@ -306,7 +306,7 @@ def test_criterion_13_lambert_w_and_crossover():
         13,
         ok,
         f"W e^W = x to {worst:.1e} on 100 samples/branch; tree beats shallow at k=4 "
-        f"({norm_k4:.1f} < {shallow_k4:.0f}); numeric crossover at k={crossover}",
+        f"({norm_k4:.1f} < {math.exp(log_shallow_k4):.0f}); numeric crossover at k={crossover}",
     )
 
 

@@ -1,7 +1,6 @@
 """Central-charge fits and Poincare-disk geometry."""
 
 import math
-from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -94,11 +93,11 @@ class TestFitCeff:
         assert fit.residual_rms == pytest.approx(rms, rel=1e-12, abs=scale)
         shuffled = list(points)
         rng.shuffle(shuffled)
-        for other in (fit_ceff(shuffled, n), fit_ceff(Counter(points), n)):
-            assert other.n_points == fit.n_points
-            assert other.c_eff == pytest.approx(fit.c_eff, rel=1e-12)
-            assert other.stderr == pytest.approx(fit.stderr, rel=1e-12, abs=scale)
-            assert other.residual_rms == pytest.approx(fit.residual_rms, rel=1e-12, abs=scale)
+        other = fit_ceff(shuffled, n)
+        assert other.n_points == fit.n_points
+        assert other.c_eff == pytest.approx(fit.c_eff, rel=1e-12)
+        assert other.stderr == pytest.approx(fit.stderr, rel=1e-12, abs=scale)
+        assert other.residual_rms == pytest.approx(fit.residual_rms, rel=1e-12, abs=scale)
 
 
 class TestCeffApprox:

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -249,6 +250,29 @@ class TestGraphPipeline:
         assert proc.stdout.strip() == "False"
 
 
+class TestEmptySupport:
+    # an empty support has w = W = 1, whose -log_d is 0.0, never -0.0
+    @pytest.mark.parametrize(
+        "args,field",
+        [
+            (["tree", "plr", "--d", "2", "--n", "8"], "log_d_norm"),
+            (["tree", "plr", "--d", "2", "--n", "8", "--exact"], "log_d_norm"),
+            (["ising", "plr", "--graph", "{graph}", "--d", "2"], "log_d_norm"),
+            (["ising", "ef", "--graph", "{graph}", "--d", "2"], "minus_log_d_W"),
+        ],
+        ids=["tree-plr", "tree-plr-exact", "ising-plr", "ising-ef"],
+    )
+    def test_no_negative_zero(self, tmp_path, args, field):
+        gpath, out = tmp_path / "tt.json", tmp_path / "out.json"
+        two_tile_graph(3).save(gpath)
+        args = [arg.format(graph=gpath) for arg in args]
+        assert run(args + ["--support", "0:0", "--out", str(out), "--no-timestamp"]) == 0
+        text = out.read_text()
+        assert "-0.0" not in text
+        value = json.loads(text)[field]
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 class TestGeom:
     def test_ceff(self, tmp_path):
         doc = run_json(
@@ -439,6 +463,16 @@ class TestErrors:
         assert run(["fit", "ceff", "--csv", str(path), "--N", "10"]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {path} line 4: {fields} fields, header has 2\n"
+
+    @pytest.mark.parametrize("row", ["x,2", "1.5,2", "5,inf", "5,nan"])
+    def test_fit_names_the_line_of_a_bad_cell(self, tmp_path, capsys, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# config: {{}}\nk,minC\n1,2\n\n{row}\n3,4\n")
+        assert run(["fit", "ceff", "--csv", str(path), "--N", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {path} line 5: k must be an integer and minC a finite number, got {row!r}\n"
+        )
 
 
 def _split_a_tile(data):

@@ -1,5 +1,6 @@
 """Shared types and the learning-rate / entanglement-feature conversions."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -71,7 +72,7 @@ class TestModelParams:
         p = ModelParams(d)
         assert mismatch_weight(d) == pytest.approx(d / (d**2 + 1))
         assert 0 < mismatch_weight(d) <= 0.5
-        assert p.J == p.h > 0
+        assert p.h == 0.5 * math.log(d) > 0
         assert mismatch_weight(d, exact=True) == Fraction(d, d**2 + 1)
 
     def test_rejects_small_d(self):
@@ -144,7 +145,7 @@ class TestPlrFromEf:
         support = SupportMask(8, frozenset(i for i in range(8) if bits >> i & 1))
         ef = {b: Fraction(1, d ** len(b)) for b in subsets_of(support.sites)}
         got = plr_from_ef(support, ef, d, exact=True)
-        assert got == (1 if support.is_empty else 0)
+        assert got == (1 if not support.sites else 0)
 
     @given(st.integers(0, 255), st.integers(2, 4))
     @settings(max_examples=60, deadline=None, derandomize=True)

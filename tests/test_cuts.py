@@ -240,6 +240,30 @@ class TestCutSweep:
                 elif wall > n:
                     assert (cut.bdry_cost, cut.bulk_cost) == (n, 0)
 
+    @pytest.mark.parametrize(
+        "p,q,layers", [(4, 5, 3), (3, 8, 3), (6, 4, 3), (5, 5, 3), (4, 6, 3), (3, 9, 3), (7, 3, 2), (8, 3, 2)]
+    )
+    def test_generated_patch_is_wall_or_flip(self, p, q, layers):
+        # on a generated patch every aligned interval's minimum cut is the
+        # wall around it or the global flip: minC = min(c + geodesic, total),
+        # c the hull's boundary cost; any other interval reduces to its hull
+        g = hs.generate_tiling(p, q, layers)
+        n, ring = g.n_legs, sorted(g.aligned)
+        dual = dual_graph(g)
+        hops = dual.distances_from([dual.gap_index[j] for j in ring])
+        for mode in ("per-leg", "per-vertex"):
+            cost = g.boundary_cost(mode)
+            total = sum(cost)
+            hull = _HullCuts(g, mode, ring)
+            for i, a in enumerate(ring):
+                c = 0
+                for step in range(1, len(ring)):
+                    # the run of the tile at ring[i + step - 1] joins the hull
+                    c += cost[g.owners[ring[(i + step - 1) % len(ring)]]]
+                    b = ring[(i + step) % len(ring)]
+                    geodesic = hops.lane(i, dual.gap_index[b])
+                    assert hull.cut(a, (b - a) % n)[2] == min(c + geodesic, total), (mode, a, b)
+
     def test_auto_oracle_matches_maxflow_below_half(self, graphs37, graphs54):
         # every interval of both modes against scipy's max-flow
         for g in (graphs37[3], graphs54[3]):

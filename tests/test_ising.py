@@ -179,6 +179,8 @@ class TestRenyiVsCut:
         model = SpinModel(two_tile, ModelParams(2))
         rows = hs.renyi_vs_cut(model, SupportMask.empty(4), [2, 8])
         assert all(r["renyi_over_log_d"] == 0 and r["bulkC"] == 0 for r in rows)
+        # 0.0, not -0.0
+        assert all(math.copysign(1.0, r["renyi_over_log_d"]) == 1.0 for r in rows)
 
     def test_two_tile_converges_to_one(self, two_tile):
         model = SpinModel(two_tile, ModelParams(2), "per-vertex")

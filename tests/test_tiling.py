@@ -260,7 +260,7 @@ class TestDualGraph:
         dual = dual_graph(g)
         assert dual.n_nodes == 3
         assert dual.n_nodes - len(dual.gap_index) == 0
-        assert dual.arcs == []
+        assert dual.neighbors == [[], [], []]
         assert sorted(dual.gap_index) == [0, 1, 2]
 
     def test_two_tiles_single_crossing(self):
@@ -269,18 +269,18 @@ class TestDualGraph:
         g = two_tile_graph(3)
         dual = dual_graph(g)
         assert dual.n_nodes == 4
-        assert len(dual.arcs) == 1
-        a, b, edge = dual.arcs[0]
         flip_positions = [j for j in range(4) if g.owners[j - 1] != g.owners[j]]
-        assert {a, b} == {dual.gap_index[p] for p in flip_positions}
-        assert edge == 0
+        a, b = (dual.gap_index[p] for p in flip_positions)
+        assert dual.neighbors[a] == [b] and dual.neighbors[b] == [a]
+        assert sum(map(len, dual.neighbors)) == 2
 
     @pytest.mark.parametrize("p,q,layers", [(3, 7, 2), (3, 7, 3), (5, 4, 2), (5, 4, 3)])
     def test_one_arc_per_bulk_edge(self, p, q, layers):
         g = hs.generate_tiling(p, q, layers)
         dual = dual_graph(g)
-        assert len(dual.arcs) == len(g.edges)
-        assert sorted(e for _, _, e in dual.arcs) == list(range(len(g.edges)))
+        assert sum(map(len, dual.neighbors)) == 2 * len(g.edges)
+        for u, nbrs in enumerate(dual.neighbors):
+            assert all(nbrs.count(v) == dual.neighbors[v].count(u) for v in nbrs)
 
     @pytest.mark.parametrize("p,q,layers", [(3, 7, 2), (3, 7, 3), (5, 4, 2), (5, 4, 3)])
     def test_euler_formula(self, p, q, layers):
@@ -351,10 +351,7 @@ _CONNECTED = next(node for node in BFS_DUALS[4].gap_index.values() if BFS_DUALS[
 
 def plain_bfs(dual, source):
     """Hop counts from one node over the dual's arcs, math.inf where none."""
-    adj = [[] for _ in range(dual.n_nodes)]
-    for a, b, _ in dual.arcs:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = dual.neighbors
     dist = [math.inf] * dual.n_nodes
     dist[source] = 0
     queue = [source]
@@ -406,7 +403,7 @@ class TestEveryHyperbolicTiling:
             degree = [len(rot) for rot in g.rotation]
             assert degree == [p] * g.n_vertices
             dual = dual_graph(loaded)
-            assert sorted(e for _, _, e in dual.arcs) == list(range(len(g.edges)))
+            assert sum(map(len, dual.neighbors)) == 2 * len(g.edges)
             assert g.n_vertices - len(g.edges) + dual.n_nodes - len(dual.gap_index) + 1 == 2
 
     @pytest.mark.parametrize("p,q", [pq for pq in sorted(GROWABLE) if pq[1] >= 4])

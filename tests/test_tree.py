@@ -187,8 +187,8 @@ class TestEntanglementFeatureOracle:
 
 class TestContiguousSeries:
     def test_g_start_d2(self):
-        gs = g_sequence(2, 2, exact=True)
-        assert gs == [Fraction(-1, 2), Fraction(-1, 4)]
+        # g_0 = -1/2, g_1 = -1/2 (-1/2 + 4/5) / (1 - 2/5) = -1/4
+        assert g_sequence(2, 2) == pytest.approx([-0.5, -0.25], rel=1e-15)
 
     def test_depth_vectors_d2(self):
         # fully supported depth-1 and depth-2 trees: the particle leaf
@@ -235,7 +235,6 @@ class TestSeriesAndBeta:
         b = hs.beta(d)
         assert math.log((d * d - 1) / (d * d + 1)) <= b.q < 0
         assert d < b.beta_norm <= d + 1 / d
-        assert b.beta_w == pytest.approx(1 / b.beta_norm)
 
     @pytest.mark.parametrize("d", [10, 20])
     def test_large_d_asymptote(self, d):
@@ -277,11 +276,10 @@ class TestLargeDFusion:
 class TestShallowReference:
     @pytest.mark.parametrize("k,d,val", [(1, 2, 2.0), (4, 2, 64.0), (8, 2, 2048.0)])
     def test_values(self, k, d, val):
-        assert hs.shallow_reference(k, d) == val
+        assert log_shallow_reference(k, d) == pytest.approx(math.log(val), rel=1e-15)
 
     def test_overflow_reported_in_log_space(self):
-        with pytest.raises(OverflowError, match="log_shallow_reference"):
-            hs.shallow_reference(2000, 3)
+        # 2000 * 3^2000 overflows a double; its log is reported
         assert log_shallow_reference(2000, 3) == pytest.approx(
             math.log(2000) + 2000 * math.log(3)
         )
@@ -312,9 +310,9 @@ class TestCrossover:
         # exact contiguous norms: the tree beats the k d^k reference until
         # far past the spec'd small-k regime
         assert math.exp(-contiguous_log_plr(2, 2)) == pytest.approx(1125 / 53)
-        assert 1125 / 53 < hs.shallow_reference(4, 2)
+        assert math.log(1125 / 53) < log_shallow_reference(4, 2)
         assert math.exp(-contiguous_log_plr(2, 1)) == pytest.approx(5.0)
-        assert 5.0 < hs.shallow_reference(2, 2)
+        assert math.log(5.0) < log_shallow_reference(2, 2)
         assert hs.crossover_numeric(2, 512) == 128
         assert hs.crossover_numeric(2, 2**40) == 128
 
