@@ -61,11 +61,14 @@ def fit_ceff(points: Iterable[tuple[float, float]], n_boundary: int) -> FitResul
     if len({x for x, _, _ in usable}) < 2:
         raise ValueError("degenerate design: all min(k, N-k) values are equal")
 
-    slope = sxy / sxx
-    ss = sum(count * (y - slope * x) ** 2 for x, y, count in usable)
-    var = ss / (n - 1) / sxx
-    rms = math.sqrt(ss / n)
-    return FitResult(c_eff=slope, stderr=math.sqrt(var), residual_rms=rms, n_points=n)
+    slope = _finite("slope", _finite("sum of x*y", sxy) / sxx)
+    try:
+        ss = sum(count * (y - slope * x) ** 2 for x, y, count in usable)
+    except OverflowError:  # a float ** raises where * would give inf
+        ss = math.inf
+    ss = _finite("residual sum", ss)
+    stderr = _finite("stderr", math.sqrt(ss / (n - 1) / sxx))
+    return FitResult(c_eff=slope, stderr=stderr, residual_rms=math.sqrt(ss / n), n_points=n)
 
 
 def _regressors(point: tuple[float, float], n_boundary: int) -> list:

@@ -34,7 +34,7 @@ import sys
 import time
 
 from . import analysis, cuts, ising, tiling, tree
-from .core import ModelParams, PlrResult, SupportMask, minus_log_d
+from .core import CutResult, ModelParams, PlrResult, SupportMask, minus_log_d
 
 
 def _parse_support(text: str, n: int) -> SupportMask:
@@ -149,6 +149,11 @@ def _rate_payload(result: PlrResult) -> dict:
     return {"w": w, "shadow_norm_sq": norm, "log_d_norm": result.log_d_norm}
 
 
+def _cut_payload(cut: CutResult) -> dict:
+    """JSON fields of a --d inf answer, a cut: no rate, log_d_norm = minC."""
+    return {"w": None, "shadow_norm_sq": None, "log_d_norm": cut.min_cost, "bdryC": cut.bdry_cost, "bulkC": cut.bulk_cost}
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -157,9 +162,7 @@ def _cmd_tree_plr(args: argparse.Namespace) -> dict:
     spec = tree.TreeSpec(n=args.n, d=args.d or 2)
     support = _parse_support(args.support, args.n)
     if args.d is None:
-        cut = tree.tree_large_d_cuts(support, spec)
-        return {"w": None, "shadow_norm_sq": None, "log_d_norm": cut.min_cost,
-                "bdryC": cut.bdry_cost, "bulkC": cut.bulk_cost}
+        return _cut_payload(tree.tree_large_d_cuts(support, spec))
     result = tree.plr_tree(support, spec, exact=args.exact)
     payload = _rate_payload(result)
     if args.exact:
@@ -200,8 +203,7 @@ def _cmd_ising_plr(args: argparse.Namespace) -> dict:
     g = tiling.TilingGraph.load(args.graph)
     support = _parse_support(args.support, g.n_legs)
     if args.d is None:
-        result = cuts.plr_large_d(g, support, d=2, mode=args.mode)
-        return {"w": None, "shadow_norm_sq": None, "log_d_norm": int(result.log_d_norm)}
+        return _cut_payload(cuts.plr_large_d(g, support, mode=args.mode))
     model = ising.SpinModel(g, ModelParams(args.d), boundary_field_mode=args.mode)
     return _rate_payload(ising.plr_exact(model, support))
 
@@ -209,8 +211,6 @@ def _cmd_ising_plr(args: argparse.Namespace) -> dict:
 def _cmd_ising_ef(args: argparse.Namespace) -> dict:
     g = tiling.TilingGraph.load(args.graph)
     support = _parse_support(args.support, g.n_legs)
-    if args.d is None:
-        raise ValueError("ising ef needs a finite d")
     model = ising.SpinModel(g, ModelParams(args.d), boundary_field_mode=args.mode)
     region = cuts.pinned_for_interval(g, support)
     log_w = ising.log_entanglement_feature(model, region)
@@ -258,7 +258,10 @@ def _sweep_points(path: str):
 
 
 def _cmd_fit_ceff(args: argparse.Namespace) -> dict:
-    fit = analysis.fit_ceff(_sweep_points(args.csv), args.n)
+    try:
+        fit = analysis.fit_ceff(_sweep_points(args.csv), args.n)
+    except OverflowError as exc:
+        raise OverflowError(f"{args.csv}: {exc}") from None
     return {
         "c_eff": fit.c_eff,
         "stderr": fit.stderr,
@@ -380,6 +383,9 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if getattr(args, "d", 0) is None and (args.func is _cmd_ising_ef or getattr(args, "exact", False)):
+        print(f"error: {'ising ef' if args.func is _cmd_ising_ef else '--exact'} needs a finite d", file=sys.stderr)
+        return 2
     try:
         result = args.func(args)
         if result is not None:

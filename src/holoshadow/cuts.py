@@ -1,10 +1,10 @@
 """Minimal cuts on holographic tensor-network graphs.
 
-The large-bond-dimension learning rate of a boundary interval is set by
-the cheapest way to separate the tiles pinned by the interval from the
-rest: flipping a boundary tile costs its boundary field (one unit per
-tile, or one per leg it owns, depending on mode), and every bulk edge on
-the resulting domain wall costs one unit.
+As d grows a support's learning rate falls as d^-minC times the number
+of minimal cuts, so its d = infinity answer is the cut (``CutResult``):
+the cheapest separation of its pinned tiles from the rest.  Flipping a
+boundary tile costs its boundary field (one unit per tile, or per leg it
+owns, by mode), and each bulk edge on the domain wall costs one unit.
 
 Production route (``cut_sweep``, ``plr_large_d``): planar duality on the
 *aligned hull*.  Every tile's legs form one contiguous run of the rim
@@ -38,11 +38,8 @@ path, and keeps one int per hull end in an ``array``.  ``cut_sweep`` yields
 its N^2 rows one at a time and keeps no list of them; what it holds is
 that table, revisited for every k in the (k, start) row order.
 
-``min_cut_exact`` -- a max-flow optimizer over all spin configurations
-(source to pinned tiles at infinite capacity, unit capacities on bulk
-edges, per-tile or per-leg capacities from boundary tiles to the sink) --
-stays as the independent oracle, and prices pinned sets that are not
-intervals.
+``min_cut_exact``, max-flow over all spin configurations, stays as the
+independent oracle; ``plr_large_d`` prices non-interval supports with it.
 
 The rim data come from the graph, derived once when it is validated:
 ``TilingGraph.owners``, ``TilingGraph.aligned`` and
@@ -57,7 +54,7 @@ from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
-from .core import CutResult, PlrResult, SupportMask
+from .core import CutResult, SupportMask
 from .tiling import DualGraph, TilingGraph, dual_graph
 
 
@@ -171,7 +168,7 @@ def bulk_geodesic(g: TilingGraph, dual: DualGraph, interval: SupportMask) -> int
     contiguous interval; 0 for the empty or full boundary."""
     bounds = interval.contiguous_bounds()
     if bounds is None:
-        raise ValueError("interval is not contiguous; use min_cut_exact instead")
+        raise ValueError("interval is not contiguous; use plr_large_d instead")
     start, k = bounds
     n = g.n_legs
     if k == 0 or k == n:
@@ -182,7 +179,7 @@ def bulk_geodesic(g: TilingGraph, dual: DualGraph, interval: SupportMask) -> int
     if math.isinf(dist):
         raise ValueError(
             "no dual path between interval endpoints (interval splits a tile's legs); "
-            "use min_cut_exact instead"
+            "use plr_large_d instead"
         )
     return int(dist)
 
@@ -385,22 +382,15 @@ class _HullCuts:
         return c + rim, units - rim, c + units
 
 
-def plr_large_d(
-    g: TilingGraph, interval: SupportMask, d: int, mode: str = "per-leg"
-) -> PlrResult:
-    """Leading-order learning rate w = d^-minC; contiguous intervals take
-    the hull route, other supports ``min_cut_exact``."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    pinned = pinned_for_interval(g, interval)  # checks the leg count
-    bounds = interval.contiguous_bounds()
+def plr_large_d(g: TilingGraph, support: SupportMask, mode: str = "per-leg") -> CutResult:
+    """The minimal cut of a support, its d -> infinity answer (a cut, not a
+    rate: the name stays for ``benchmarks/spans.py``).  Contiguous intervals
+    take the hull route, other supports ``min_cut_exact``."""
+    pinned = pinned_for_interval(g, support)  # checks the leg count
+    bounds = support.contiguous_bounds()
     if bounds is None:
-        min_cost = min_cut_exact(g, pinned, mode).min_cost
-    else:
-        min_cost = _HullCuts(g, mode, bounds[:1]).cut(*bounds)[2]
-    result = PlrResult.from_log_w(-min_cost * math.log(d), d)
-    # the exponent is exact by construction; avoid round-off in the log
-    return PlrResult(w=result.w, shadow_norm_sq=result.shadow_norm_sq, log_d_norm=float(min_cost))
+        return min_cut_exact(g, pinned, mode)
+    return CutResult(*_HullCuts(g, mode, bounds[:1]).cut(*bounds))
 
 
 def cut_sweep(

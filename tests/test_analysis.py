@@ -77,6 +77,20 @@ class TestFitCeff:
         with pytest.raises(ValueError, match="degenerate"):
             fit_ceff([(2, 3.0), (6, 7.0)], 8)  # min(k, N-k) = 2 for both
 
+    @pytest.mark.parametrize(
+        "points,quantity",
+        [
+            ([(1, 1.0), (2, 1e308), (3, 1.7e308)], "sum of x\\*y"),
+            ([(1, 1.0), (2, 2 + 1.5e308)], "slope"),
+            ([(1, -5.0), (2, -7.0), (3, 1e300)], "residual sum"),  # a float ** raises here
+            ([(1, 1 + 1.2e154), (2, 2.0)], "stderr"),
+        ],
+    )
+    def test_overflow_is_named(self, points, quantity):
+        # every fitted value is finite or the quantity that overflowed is named
+        with pytest.raises(OverflowError, match=f"^{quantity} overflows a double$"):
+            fit_ceff(points, 5)
+
     @given(sweep_points(), st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_row_order_and_counting_leave_the_fit_unchanged(self, case, rng):

@@ -186,6 +186,7 @@ class TestGraphPipeline:
             tmp_path,
         )
         assert (doc["w"], doc["shadow_norm_sq"], doc["log_d_norm"]) == (None, None, 2)
+        assert (doc["bdryC"], doc["bulkC"]) == (1, 1)
 
     @pytest.mark.parametrize("command,d", [("plr", "2"), ("plr", "inf"), ("ef", "2")])
     def test_ising_union_matches_library(self, tmp_path, command, d):
@@ -195,8 +196,9 @@ class TestGraphPipeline:
         doc = run_json(["ising", command, "--graph", str(gpath), "--d", d, "--support", "0:3,40:5"], tmp_path)
         mask = hs.SupportMask.interval(g.n_legs, 0, 3).union(hs.SupportMask.interval(g.n_legs, 40, 5))
         if d == "inf":
-            assert doc["log_d_norm"] == hs.plr_large_d(g, mask, d=2, mode="per-vertex").log_d_norm
-            assert doc["log_d_norm"] == hs.min_cut_exact(g, pinned_for_interval(g, mask), "per-vertex").min_cost
+            cut = hs.plr_large_d(g, mask, mode="per-vertex")
+            assert cut == hs.min_cut_exact(g, pinned_for_interval(g, mask), "per-vertex")
+            assert (doc["bdryC"], doc["bulkC"], doc["log_d_norm"]) == (cut.bdry_cost, cut.bulk_cost, cut.min_cost)
             return
         model = hs.SpinModel(g, hs.ModelParams(2), "per-vertex")
         if command == "plr":
@@ -368,6 +370,24 @@ class TestErrors:
         for digits in ("0", "-1"):
             assert run(["geom", "ceff", "--rho", "0.9", "--phi", "pi", "--digits", digits]) == 2
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["tree", "plr", "--d", "inf", "--n", "8", "--support", "0:3", "--exact"], "--exact needs a finite d"),
+            (["ising", "ef", "--graph", "{graph}", "--d", "inf", "--support", "0:3"], "ising ef needs a finite d"),
+            (["ising", "ef", "--graph", "{missing}", "--d", "inf", "--support", "0:3"], "ising ef needs a finite d"),
+        ],
+        ids=["tree-plr-exact", "ising-ef", "ising-ef-missing-graph"],
+    )
+    def test_inf_d_without_an_answer_is_a_usage_error(self, tmp_path, capsys, args, message):
+        # refused once, after parsing: before any graph is read
+        gpath, out = tmp_path / "g.json", tmp_path / "out.json"
+        hs.generate_tiling(3, 7, 2).save(gpath)
+        args = [arg.format(graph=gpath, missing=tmp_path / "missing.json") for arg in args]
+        assert run(args + ["--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
+
     def test_computation_error_is_1(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         code = run(["tree", "plr", "--d", "2", "--n", "6", "--support", "0:1", "--out", str(out)])
@@ -473,6 +493,18 @@ class TestErrors:
         assert err == (
             f"error: {path} line 5: k must be an integer and minC a finite number, got {row!r}\n"
         )
+
+
+@pytest.mark.parametrize(
+    "rows,quantity",
+    [("1,-5\n2,-7\n3,1e300\n", "residual sum"), ("1,1\n2,1e308\n3,1.7e308\n", "sum of x*y")],
+)
+def test_fit_names_an_overflowing_quantity(tmp_path, capsys, rows, quantity):
+    path = tmp_path / "huge.csv"
+    path.write_text(f"k,minC\n{rows}")
+    assert run(["fit", "ceff", "--csv", str(path), "--N", "5", "--out", str(tmp_path / "fit.json")]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {quantity} overflows a double\n")
+    assert not (tmp_path / "fit.json").exists()
 
 
 def _split_a_tile(data):
@@ -630,6 +662,8 @@ class TestSchemas:
             ["tree", "plr", "--d", "inf", "--n", "4", "--support", "0:2"],
             ["tree", "crossover", "--d", "2", "--k-max", "64"],
             ["ising", "plr", "--graph", str(gpath), "--d", "2", "--support", "0:3"],
+            ["ising", "plr", "--graph", str(gpath), "--d", "inf", "--support", "0:3"],
+            ["ising", "plr", "--graph", str(gpath), "--d", "inf", "--support", "0:3,7:2"],
             ["ising", "ef", "--graph", str(gpath), "--d", "2", "--support", "0:3"],
             ["fit", "ceff", "--csv", str(sweep), "--N", "12"],
             ["geom", "ceff", "--rho", "0.9", "--phi", "pi"],
@@ -637,6 +671,8 @@ class TestSchemas:
         for i, args in enumerate(commands):
             doc = run_json(args, tmp_path, f"schema{i}.json")
             jsonschema.validate(doc, result_schema)
+            if "inf" in args:
+                assert doc["bdryC"] + doc["bulkC"] == doc["log_d_norm"]
 
     def test_graph_file_validates(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")

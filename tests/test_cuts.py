@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holoshadow as hs
 from holoshadow.core import SupportMask
@@ -18,12 +20,24 @@ from holoshadow.cuts import (
 )
 from holoshadow.tiling import dual_graph, two_tile_graph
 
-from conftest import drawn_graph, oracle_sweep, random_planar_graph
+from conftest import drawn_graph, maxflow_cuts, oracle_sweep, random_planar_graph
 
 
 @pytest.fixture(scope="module")
 def two_tile():
     return two_tile_graph(3)
+
+
+PATCHES = ((3, 7, 3), (5, 4, 3), (4, 5, 3))
+
+
+@pytest.fixture(scope="module")
+def tilings():
+    return {shape: hs.generate_tiling(*shape) for shape in PATCHES}
+
+
+def triple(cut):
+    return cut.bdry_cost, cut.bulk_cost, cut.min_cost
 
 
 def hub_graph():
@@ -142,7 +156,7 @@ class TestBulkGeodesic:
         # find an interval boundary splitting one tile's legs
         aligned = g.aligned
         start = next(j for j in range(n) if j not in aligned)
-        with pytest.raises(ValueError, match="min_cut_exact"):
+        with pytest.raises(ValueError, match="use plr_large_d instead"):
             bulk_geodesic(g, dual, SupportMask.interval(n, start, 1))
 
     @pytest.mark.parametrize("layers,expected", [(2, 3), (3, 5)])
@@ -167,40 +181,72 @@ class TestBulkGeodesic:
 
 class TestPlrLargeD:
     def test_empty_interval(self, two_tile):
-        r = plr_large_d(two_tile, SupportMask.empty(4), 7)
-        assert r.w == 1.0
-        assert r.log_d_norm == 0.0
+        assert plr_large_d(two_tile, SupportMask.empty(4)) == hs.CutResult(0, 0, 0)
 
     def test_exponent_is_exact_integer(self, two_tile):
-        r = plr_large_d(two_tile, SupportMask.interval(4, 2, 2), 3, mode="per-vertex")
-        assert r.log_d_norm == 2.0
-        assert r.w == pytest.approx(3.0**-2)
+        cut = plr_large_d(two_tile, SupportMask.interval(4, 2, 2), mode="per-vertex")
+        assert triple(cut) == (1, 1, 2) and type(cut.min_cost) is int
 
     def test_full_boundary_per_vertex(self):
         g = hs.generate_tiling(3, 7, 2)
         n_bdry = sum(1 for v in range(g.n_vertices) if g.boundary_legs[v])
-        r = plr_large_d(g, SupportMask.interval(g.n_legs, 0, g.n_legs), 5, "per-vertex")
-        assert r.log_d_norm == n_bdry
+        r = plr_large_d(g, SupportMask.interval(g.n_legs, 0, g.n_legs), "per-vertex")
+        assert r == hs.CutResult(n_bdry, 0, n_bdry)
 
     def test_per_leg_norm_at_least_k(self):
         g = hs.generate_tiling(3, 7, 2)
         n = g.n_legs
         for start, k in [(0, 1), (3, 4), (5, 9), (1, 11)]:
-            r = plr_large_d(g, SupportMask.interval(n, start, k), 64, "per-leg")
-            assert r.log_d_norm >= k
+            r = plr_large_d(g, SupportMask.interval(n, start, k), "per-leg")
+            assert r.min_cost >= k
 
     def test_noncontiguous_support_takes_max_flow(self, graphs37):
         g = graphs37[3]
         support = SupportMask(g.n_legs, frozenset({0, 1, 7, 20, 21, 22}))
         for mode in ("per-leg", "per-vertex"):
             cut = min_cut_exact(g, pinned_for_interval(g, support), mode)
-            assert plr_large_d(g, support, 3, mode).log_d_norm == cut.min_cost
+            assert plr_large_d(g, support, mode) == cut
 
     def test_mixed_cut_on_hub_graph(self):
         # the cheapest region flips a rim tile outside the interval's hull
         g = hub_graph()
         for mode in ("per-leg", "per-vertex"):
-            assert plr_large_d(g, SupportMask.interval(12, 0, 1), 2, mode).log_d_norm == 5
+            assert triple(plr_large_d(g, SupportMask.interval(12, 0, 1), mode)) == (2, 3, 5)
+
+    @pytest.mark.parametrize("shape,sample", zip(PATCHES, (None, 400, 400)))
+    def test_interval_triple_matches_oracle(self, tilings, shape, sample):
+        # every interval of {3,7}x3 (33 x 32), and a fixed sample of the
+        # larger {5,4}x3 and {4,5}x3, against scipy's max-flow
+        g = tilings[shape]
+        n = g.n_legs
+        intervals = [(start, k) for start in range(n) for k in range(1, n)]
+        if sample is not None:
+            intervals = [intervals[i] for i in np.random.default_rng(17).choice(len(intervals), sample, replace=False)]
+        for mode in ("per-leg", "per-vertex"):
+            oracle = oracle_sweep(g, mode, intervals)
+            for start, k in intervals:
+                cut = plr_large_d(g, SupportMask.interval(n, start, k), mode)
+                assert triple(cut) == oracle[(start, k)], (mode, start, k)
+
+    @given(
+        st.sampled_from(PATCHES),
+        st.sampled_from(["per-leg", "per-vertex"]),
+        st.lists(st.tuples(st.integers(0, 999), st.integers(1, 8)), min_size=2, max_size=4, unique_by=lambda part: part[0]),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_union_is_the_max_flow_cut(self, tilings, shape, mode, parts):
+        # unions of 2-4 intervals (starts taken mod the leg count; about 9
+        # in 10 of the drawn unions are not one interval)
+        g = tilings[shape]
+        n = g.n_legs
+        support = SupportMask.empty(n)
+        for start, length in parts:
+            support = support.union(SupportMask.interval(n, start % n, length))
+        pinned = pinned_for_interval(g, support)
+        cut, exact = plr_large_d(g, support, mode), min_cut_exact(g, pinned, mode)
+        assert triple(cut) == triple(exact) == maxflow_cuts(g, mode, [pinned])[0]
+        if support.contiguous_bounds() is None:  # the max-flow route: its witness too
+            assert cut == exact
 
 
 class TestCutSweep:
