@@ -159,11 +159,11 @@ def _cut_payload(cut: CutResult) -> dict:
 
 
 def _cmd_tree_plr(args: argparse.Namespace) -> dict:
-    spec = tree.TreeSpec(n=args.n, d=args.d or 2)
+    tree.check_leaf_count(args.n)
     support = _parse_support(args.support, args.n)
     if args.d is None:
-        return _cut_payload(tree.tree_large_d_cuts(support, spec))
-    result = tree.plr_tree(support, spec, exact=args.exact)
+        return _cut_payload(tree.tree_large_d_cuts(support))
+    result = tree.plr_tree(support, tree.TreeSpec(n=args.n, d=args.d), exact=args.exact)
     payload = _rate_payload(result)
     if args.exact:
         payload["w_exact"] = str(result.w)

@@ -170,7 +170,7 @@ class TilingGraph:
         return out
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=1) + "\n", encoding="utf-8")
+        Path(path).write_text(json.dumps(self.to_json_dict()) + "\n", encoding="utf-8")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TilingGraph":
@@ -364,13 +364,18 @@ class _Patch:
         # the layer's fresh vertices, made counterclockwise along its outer rim
         self.boundary = list(range(placeholder + 1, self._next))
 
-    def edge_faces(self) -> dict[frozenset, list[int]]:
-        emap: dict[frozenset, list[int]] = {}
+    def edge_faces(self) -> dict[tuple[int, int], list[int]]:
+        """The tiles on each tile side, ascending, keyed by its ``_sides`` pair."""
+        emap: dict[tuple[int, int], list[int]] = {}
         for f, verts in enumerate(self.face_verts):
-            for i in range(len(verts)):
-                key = frozenset((verts[i], verts[(i + 1) % len(verts)]))
+            for key in _sides(verts):
                 emap.setdefault(key, []).append(f)
         return emap
+
+
+def _sides(cycle: Sequence[int]) -> list[tuple[int, int]]:
+    """Each side of a vertex cycle in order, as its (lower, higher) vertex pair."""
+    return [(a, b) if a < b else (b, a) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
 
 
 def generate_tiling(p: int, q: int, layers: int) -> TilingGraph:
@@ -410,24 +415,20 @@ def _compile(patch: _Patch, p: int, q: int, layers: int) -> TilingGraph:
     emap = patch.edge_faces()
     for key, faces in emap.items():
         if len(faces) > 2:
-            raise RuntimeError(f"tiling edge {sorted(key)} shared by {len(faces)} tiles")
+            raise RuntimeError(f"tiling edge {list(key)} shared by {len(faces)} tiles")
 
     # legs numbered along the rim cycle
-    rim = patch.boundary
-    leg_of_edge = {frozenset(side): j for j, side in enumerate(zip(rim, rim[1:] + rim[:1]))}
+    leg_of_edge = {key: j for j, key in enumerate(_sides(patch.boundary))}
     boundary_order = [(j, emap[key][0]) for key, j in leg_of_edge.items()]
 
     # faces are listed in ascending order; TilingGraph refuses a repeated pair
-    n_faces = len(patch.face_verts)
-    by_side = sorted(emap.items(), key=lambda kv: sorted(kv[0]))
-    edges = [tuple(faces) for _, faces in by_side if len(faces) == 2]
+    edges = [tuple(faces) for _, faces in sorted(emap.items()) if len(faces) == 2]
 
     rotation: list[list[tuple[str, int]]] = []
-    boundary_legs: list[list[int]] = [[] for _ in range(n_faces)]
+    boundary_legs: list[list[int]] = [[] for _ in patch.face_verts]
     for f, verts in enumerate(patch.face_verts):
         rot: list[tuple[str, int]] = []
-        for i in range(len(verts)):
-            key = frozenset((verts[i], verts[(i + 1) % len(verts)]))
+        for key in _sides(verts):
             faces = emap[key]
             if len(faces) == 2:
                 rot.append(("edge", faces[0] if faces[1] == f else faces[1]))
@@ -513,15 +514,13 @@ def dual_graph(g: TilingGraph) -> DualGraph:
     """Trace the embedding's regions and split the outer one per boundary gap."""
     if g.rotation is None:
         raise ValueError("graph has no rotation system; cannot embed")
-    n = g.n_vertices
+    n, n_legs = g.n_vertices, g.n_legs
     rotation = g.rotation
 
     # TilingGraph has checked that every edge end and leg appears once
     entry_slot = {
         (kind, v, ref): slot for v, rot in enumerate(rotation) for slot, (kind, ref) in enumerate(rot)
     }
-
-    n_legs = g.n_legs
 
     # darts are (vertex, slot); trace orbits of "arrive, turn left"
     visited = [[False] * len(rot) for rot in rotation]

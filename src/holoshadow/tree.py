@@ -61,6 +61,12 @@ MAX_BRUTEFORCE_LEAVES = 16
 MAX_EXACT_BITS = 14000
 
 
+def check_leaf_count(n: int) -> None:
+    """ValueError unless n is a leaf count of a binary tree: 2, 4, 8, ..."""
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"leaf count must be a power of two >= 2, got {n}")
+
+
 @dataclass(frozen=True)
 class TreeSpec:
     """Binary-tree circuit geometry: N = 2^depth leaves, local dimension d."""
@@ -69,8 +75,7 @@ class TreeSpec:
     d: int
 
     def __post_init__(self) -> None:
-        if self.n < 2 or self.n & (self.n - 1):
-            raise ValueError(f"leaf count must be a power of two >= 2, got {self.n}")
+        check_leaf_count(self.n)
         if self.d < 2:
             raise ValueError(f"local dimension must be >= 2, got {self.d}")
 
@@ -143,11 +148,9 @@ def _fold_runs(
     return runs[0][0]
 
 
-def _pair_runs(support: SupportMask, spec: TreeSpec) -> list[tuple[bool, int]]:
+def _pair_runs(support: SupportMask) -> list[tuple[bool, int]]:
     """Runs (particle-like, count) of the N/2 coarse leaf pairs (2i, 2i+1);
     a pair is particle-like when either of its qudits is in the support."""
-    if support.n != spec.n:
-        raise ValueError(f"support is over {support.n} sites but the tree has {spec.n} leaves")
     runs: list[tuple[bool, int]] = []
     end = 0  # first pair not yet in a run
     for pair in sorted({site // 2 for site in support.sites}):
@@ -191,7 +194,9 @@ def plr_tree(support: SupportMask, spec: TreeSpec, exact: bool = False) -> PlrRe
     arithmetic, while the bound on the root denominator's bit length stays
     within MAX_EXACT_BITS.
     """
-    runs = _pair_runs(support, spec)
+    if support.n != spec.n:
+        raise ValueError(f"support is over {support.n} sites but the tree has {spec.n} leaves")
+    runs = _pair_runs(support)
     if not exact:
         return PlrResult.from_log_w(_log_w(runs, spec.d), spec.d)
     mixed_bits = math.log2(spec.d**2 + 1)
@@ -337,14 +342,17 @@ def fuse_labels(left: FusionLabel, right: FusionLabel) -> tuple[FusionLabel, int
     return FusionLabel.MIXED, 1
 
 
-def tree_large_d_cuts(support: SupportMask, spec: TreeSpec) -> CutResult:
+def tree_large_d_cuts(support: SupportMask) -> CutResult:
     """Minimal-cut exponent of the tree in the d->infinity limit.
 
+    The tree has one leaf per site of the support, so N = support.n, which
+    must be a power of two.
     Coarse-grains leaf pairs to particle/hole labels and folds the fusion
     algebra; bdryC is twice the number of particle leaves, bulkC the number
     of particle+hole fusions, and w ~ d^-(bdryC+bulkC).
     """
-    runs = _pair_runs(support, spec)
+    check_leaf_count(support.n)
+    runs = _pair_runs(support)
 
     def fuse_counted(
         left: tuple[FusionLabel, int], right: tuple[FusionLabel, int]

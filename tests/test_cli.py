@@ -168,6 +168,20 @@ class TestGraphPipeline:
         assert gpath.read_bytes() == expected.read_bytes()
         assert run(["cut", "sweep", "--graph", str(gpath), "--out", str(tmp_path / "s.csv")]) == 0
 
+    def test_indented_graph_sweeps_the_same(self, tmp_path):
+        # earlier versions wrote graph files with indent=1; they still load
+        # and sweep to the same rows (the config line names the path)
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        assert run(["tiling", "gen", "--p", "5", "--q", "4", "--layers", "3", "--out", str(new)]) == 0
+        old.write_text(json.dumps(json.loads(new.read_text()), indent=1) + "\n")
+        assert new.read_text().count("\n") == 1 < old.read_text().count("\n")
+        rows = []
+        for gpath in (new, old):
+            out = tmp_path / f"{gpath.stem}.csv"
+            assert run(["cut", "sweep", "--graph", str(gpath), "--no-timestamp", "--out", str(out)]) == 0
+            rows.append(_csv_body(out))
+        assert rows[0] == rows[1] and len(rows[0]) > 1000
+
     def test_ising_plr(self, tmp_path):
         gpath = tmp_path / "tt.json"
         two_tile_graph(3).save(gpath)
@@ -387,6 +401,15 @@ class TestErrors:
         assert run(args + ["--out", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
+
+    @pytest.mark.parametrize("n", [-4, 0, 1, 6, 12])
+    @pytest.mark.parametrize("d", ["2", "inf"])
+    def test_leaf_count_must_be_a_power_of_two(self, tmp_path, capsys, d, n):
+        # refused before the support is read, at either d
+        out = tmp_path / "x.json"
+        assert run(["tree", "plr", "--d", d, "--n", str(n), "--support", "0:3", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: leaf count must be a power of two >= 2, got {n}\n")
+        assert not out.exists()
 
     def test_computation_error_is_1(self, tmp_path, capsys):
         out = tmp_path / "x.json"

@@ -1,6 +1,7 @@
 """Tiling generation, planar dual extraction, boundary machinery."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import holoshadow as hs
 from holoshadow import tiling
+from holoshadow.cli import run
 from holoshadow.core import ModelParams
 from holoshadow.cuts import cut_sweep
 from holoshadow.ising import SpinModel, _log_boltzmann_sum
@@ -50,9 +52,22 @@ GRAPH_DIGESTS = {
     ("two", 7): "ec32b95a375870cba7436633565269df0af5bbf38bdd174cb52864f588c84cc8",
 }
 
+# sha256 of the file bytes ``save`` and ``tiling gen`` write: one line of
+# JSON with the default separators
+FILE_DIGESTS = {
+    (3, 7, 6): "0e728c4b6918bbf7fcd8b996830d655ddde264b9693179c84fa4dc489235b766",
+    (5, 4, 4): "819fa8fac194b8f0279637bbc93e0ccc9e62a68422954926d550262a44cb3152",
+}
+
 # every hyperbolic tiling off the {3,7}/{5,4} pair that is tested, with the
 # deepest patch tested; q = 3 tilings stop growing at 2 layers
 GROWABLE = {(4, 5): 3, (3, 8): 3, (6, 4): 3, (5, 5): 3, (4, 6): 3, (3, 9): 3, (7, 3): 2, (8, 3): 2}
+
+
+@functools.cache
+def pinned_graph(key):
+    """The graph of a GRAPH_DIGESTS key."""
+    return two_tile_graph(key[1]) if key[0] == "two" else hs.generate_tiling(*key)
 
 
 def grown_patch(p, q, layers):
@@ -105,9 +120,30 @@ class TestGeneration:
 
     @pytest.mark.parametrize("key", list(GRAPH_DIGESTS), ids=lambda key: "-".join(map(str, key)))
     def test_graph_json_is_pinned(self, key):
-        g = two_tile_graph(key[1]) if key[0] == "two" else hs.generate_tiling(*key)
-        text = json.dumps(g.to_json_dict(), indent=1) + "\n"
+        text = json.dumps(pinned_graph(key).to_json_dict(), indent=1) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == GRAPH_DIGESTS[key]
+
+    @pytest.mark.parametrize("key", list(GRAPH_DIGESTS), ids=lambda key: "-".join(map(str, key)))
+    def test_graph_file_is_one_line_of_json(self, tmp_path, key):
+        g = pinned_graph(key)
+        saved = tmp_path / "saved.json"
+        g.save(saved)
+        written = [saved]
+        if key[0] != "two":
+            generated = tmp_path / "gen.json"
+            argv = ["tiling", "gen", "--p", str(key[0]), "--q", str(key[1]), "--layers", str(key[2])]
+            assert run([*argv, "--out", str(generated)]) == 0
+            written.append(generated)
+        for path in written:
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(g.to_json_dict()) + "\n"
+            assert text.count("\n") == 1
+
+    @pytest.mark.parametrize("key", list(FILE_DIGESTS), ids=lambda key: "-".join(map(str, key)))
+    def test_graph_file_bytes_are_pinned(self, tmp_path, key):
+        path = tmp_path / "g.json"
+        pinned_graph(key).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == FILE_DIGESTS[key]
 
     def test_rejects_bad_layers(self):
         with pytest.raises(ValueError):
@@ -230,6 +266,14 @@ class TestSerialization:
         g.save(path1)
         TilingGraph.load(path1).save(path2)
         assert path1.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("key", list(GRAPH_DIGESTS), ids=lambda key: "-".join(map(str, key)))
+    def test_indented_file_loads_unchanged(self, tmp_path, key):
+        # earlier versions wrote graph files with indent=1
+        g = pinned_graph(key)
+        path = tmp_path / "indented.json"
+        path.write_text(json.dumps(g.to_json_dict(), indent=1) + "\n", encoding="utf-8")
+        assert TilingGraph.load(path) == g
 
     def test_schema_fields(self, tmp_path):
         g = hs.generate_tiling(3, 7, 2)
@@ -399,7 +443,9 @@ class TestEveryHyperbolicTiling:
             g.save(path)
             loaded = TilingGraph.load(path)
             assert loaded == g
-            assert json.dumps(loaded.to_json_dict(), indent=1) + "\n" == path.read_text()
+            resaved = tmp_path / f"r{layers}.json"
+            loaded.save(resaved)
+            assert resaved.read_bytes() == path.read_bytes()
             degree = [len(rot) for rot in g.rotation]
             assert degree == [p] * g.n_vertices
             dual = dual_graph(loaded)

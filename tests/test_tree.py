@@ -249,18 +249,22 @@ class TestSeriesAndBeta:
 
 class TestLargeDFusion:
     def test_empty_support(self):
-        cut = hs.tree_large_d_cuts(SupportMask.empty(8), TreeSpec(8, 2))
+        cut = hs.tree_large_d_cuts(SupportMask.empty(8))
         assert (cut.bdry_cost, cut.bulk_cost) == (0, 0)
 
+    def test_leaf_count_comes_from_the_support(self):
+        with pytest.raises(ValueError, match="power of two >= 2, got 12"):
+            hs.tree_large_d_cuts(SupportMask.empty(12))
+
     def test_two_separated_particles(self):
-        cut = hs.tree_large_d_cuts(mask(4, 0, 2), TreeSpec(4, 2))
+        cut = hs.tree_large_d_cuts(mask(4, 0, 2))
         assert (cut.bdry_cost, cut.bulk_cost) == (4, 0)
 
     @pytest.mark.parametrize("m,n", [(1, 8), (2, 8), (2, 16), (3, 16)])
     def test_aligned_contiguous(self, m, n):
         # a support filling one subtree costs k boundary cuts and one bulk cut
         k = 1 << m
-        cut = hs.tree_large_d_cuts(SupportMask.interval(n, 0, k), TreeSpec(n, 2))
+        cut = hs.tree_large_d_cuts(SupportMask.interval(n, 0, k))
         assert (cut.bdry_cost, cut.bulk_cost) == (k, 1)
 
     def test_exponent_consistency_all_supports(self):
@@ -268,7 +272,7 @@ class TestLargeDFusion:
         spec = TreeSpec(8, 64)
         for bits in range(256):
             m = SupportMask(8, frozenset(i for i in range(8) if bits >> i & 1))
-            cut = hs.tree_large_d_cuts(m, spec)
+            cut = hs.tree_large_d_cuts(m)
             r = hs.plr_tree(m, spec)
             assert abs(r.log_d_norm - cut.min_cost) <= 0.3
 
