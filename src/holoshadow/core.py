@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Union
 
 Real = Union[int, float, Fraction]
@@ -81,7 +82,7 @@ class SupportMask:
             raise ValueError("boundary size must be positive")
         sites = frozenset(self.sites)
         object.__setattr__(self, "sites", sites)
-        if any(not (0 <= s < self.n) for s in sites):
+        if sites and (min(sites) < 0 or max(sites) >= self.n):
             raise ValueError(f"site indices must lie in [0, {self.n})")
 
     @classmethod
@@ -93,7 +94,9 @@ class SupportMask:
         """Contiguous interval of `length` sites starting at `start`, cyclic."""
         if not (0 <= length <= n):
             raise ValueError(f"interval length must be in [0, {n}], got {length}")
-        return cls(n, frozenset((start + i) % n for i in range(length)))
+        start %= max(n, 1)  # n < 1 is refused when the mask is built
+        end = start + length
+        return cls(n, frozenset(range(start, end) if end <= n else chain(range(start, n), range(end - n))))
 
     @property
     def k(self) -> int:

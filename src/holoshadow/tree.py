@@ -27,7 +27,8 @@ The module also provides:
 
 * ``ef_bruteforce``   -- the independent oracle: exact entanglement
   features by exhaustive enumeration of per-gate replica assignments
-  (weight a per mismatched pair of children, 1 when all agree, 0 else);
+  (weight a per mismatched pair of children, 1 when all agree, 0 else),
+  all 2^(N-1) of them at once as the bits of Python integers;
 * ``g_sequence``/``q_series``/``beta`` -- the aligned contiguous
   support: ratio sequence g_t (g_0 = -1/d), the convergent series
   Q(d) = sum_i ln(1+2a g_i)/2^(i+1), and the resulting norm base
@@ -51,7 +52,8 @@ from typing import Callable, Iterable, Mapping, TypeVar
 from .core import CutResult, PlrResult, Real, SupportMask, WVector, mismatch_weight, subsets_of
 from .lambertw import lambert_w
 
-#: eta-model enumeration cap: 2^(N-1) gate assignments.
+#: eta-model enumeration cap: each of ``ef_bruteforce``'s integers has one
+#: bit per gate assignment, 2^(N-1) bits (4 KiB at N = 16).
 MAX_BRUTEFORCE_LEAVES = 16
 
 #: Rational-fold cap on an upper bound of the root denominator's bit length:
@@ -227,11 +229,15 @@ def plr_tree(support: SupportMask, spec: TreeSpec, exact: bool = False) -> PlrRe
 def ef_bruteforce(region: SupportMask, spec: TreeSpec, exact: bool = False) -> Real:
     """Exact entanglement feature W(B) of the tree ensemble, brute force.
 
-    Enumerates all 2^(N-1) assignments of identity/swap to the N-1 gates
-    and sums the product of per-gate factors: a when the two children
-    disagree, 1 when gate and children all agree, 0 otherwise.  Leaves in
-    `region` carry swap, the rest identity.  Independent of the recursive
-    fold; used as its oracle.
+    Sums, over all 2^(N-1) assignments of identity/swap to the N-1 gates,
+    the product of per-gate factors: a when the two children disagree, 1
+    when gate and children all agree, 0 otherwise.  Leaves in `region`
+    carry swap, the rest identity.  Every assignment is evaluated at once:
+    each replica label is a 2^(N-1)-bit integer whose bit c is the label
+    under assignment c (gates numbered level by level from the leaves up,
+    gate g's label is bit g of c), and ``by_count[m]`` holds the surviving
+    assignments with m mismatched gates, so W = sum_m a^m |by_count[m]|.
+    Independent of the recursive fold; used as its oracle.
     """
     n = spec.n
     if region.n != n:
@@ -239,33 +245,26 @@ def ef_bruteforce(region: SupportMask, spec: TreeSpec, exact: bool = False) -> R
     if n > MAX_BRUTEFORCE_LEAVES:
         raise ValueError(f"brute-force enumeration is limited to N <= {MAX_BRUTEFORCE_LEAVES}")
     a = mismatch_weight(spec.d, exact=exact)
-    one: Real = Fraction(1) if exact else 1.0
-    leaf_labels = [i in region for i in range(n)]
-    n_gates = n - 1
-    total: Real = Fraction(0) if exact else 0.0
-    for config in range(1 << n_gates):
-        # gates indexed level by level from the leaves up
-        values = leaf_labels
-        gate = 0
-        weight = one
-        for _level in range(spec.depth):
-            next_values = []
-            for i in range(0, len(values), 2):
-                sigma = bool(config >> gate & 1)
-                gate += 1
-                l, r = values[i], values[i + 1]
-                if l != r:
-                    weight = weight * a
-                elif sigma != l:
-                    weight = None
-                    break
-                next_values.append(sigma)
-            if weight is None:
-                break
-            values = next_values
-        if weight is not None:
-            total += weight
-    return total
+    width = 1 << (n - 1)
+    full = (1 << width) - 1
+    values = [full if i in region else 0 for i in range(n)]
+    by_count = [full]
+    gate = 0
+    while len(values) > 1:
+        next_values = []
+        for left, right in zip(values[::2], values[1::2]):
+            half = 1 << gate  # sigma: runs of `half` zeros then `half` ones
+            sigma = ((1 << half) - 1) << half
+            while 2 * half < width:
+                sigma |= sigma << 2 * half
+                half *= 2
+            gate += 1
+            mismatch = left ^ right
+            keep = (full ^ sigma ^ left) & ~mismatch  # children agree, sigma equals them
+            by_count = [(c & keep) | (prev & mismatch) for c, prev in zip(by_count + [0], [0] + by_count)]
+            next_values.append(sigma)
+        values = next_values
+    return sum(a**m * c.bit_count() for m, c in enumerate(by_count))
 
 
 def ef_table(

@@ -9,12 +9,15 @@ shared between the solver tests and the acceptance suite.  Planar graphs
 other than tilings come from straight-line drawings (``drawn_graph``,
 ``random_planar_graph``).  ``enumerated_log_z`` sums the Ising model over
 every spin state with numpy, the oracle for the package's variable
-elimination.
+elimination.  ``ef_loop`` is the tree's entanglement-feature sum as one
+Python iteration per gate assignment, the reference for the package's
+bit-parallel ``ef_bruteforce``.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from scipy.spatial import ConvexHull, Delaunay
 
 import holoshadow as hs
+from holoshadow.core import mismatch_weight
 from holoshadow.cuts import cut_sweep
 from holoshadow.tiling import TilingGraph
 
@@ -103,6 +107,39 @@ def enumerated_log_z(model, pinned, tau):
             minus_energy += field * tau.get(v, 1) * spin(v)
     top = minus_energy.max()
     return float(top + np.log(np.exp(minus_energy - top).sum()))
+
+
+def ef_loop(region, spec, exact=False):
+    """W(B) of the tree ensemble, one assignment of identity/swap to the
+    N-1 gates at a time: a per mismatched pair of children, 1 when gate and
+    children agree, 0 otherwise; leaves in `region` carry swap."""
+    a = mismatch_weight(spec.d, exact=exact)
+    one = Fraction(1) if exact else 1.0
+    leaf_labels = [i in region for i in range(spec.n)]
+    total = Fraction(0) if exact else 0.0
+    for config in range(1 << (spec.n - 1)):
+        # gates indexed level by level from the leaves up
+        values = leaf_labels
+        gate = 0
+        weight = one
+        for _level in range(spec.depth):
+            next_values = []
+            for i in range(0, len(values), 2):
+                sigma = bool(config >> gate & 1)
+                gate += 1
+                l, r = values[i], values[i + 1]
+                if l != r:
+                    weight = weight * a
+                elif sigma != l:
+                    weight = None
+                    break
+                next_values.append(sigma)
+            if weight is None:
+                break
+            values = next_values
+        if weight is not None:
+            total += weight
+    return total
 
 
 def oracle_sweep(g, mode, intervals):

@@ -411,6 +411,21 @@ class TestErrors:
         assert capsys.readouterr() == ("", f"error: leaf count must be a power of two >= 2, got {n}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "support,message",
+        [
+            ("3:17", "interval length must be in [0, 16], got 17"),
+            ("5:-1", "interval length must be in [0, 16], got -1"),
+            ("0:x", "bad support syntax '0:x'; expected START:LEN"),
+            ("0:3,4", "bad support syntax '4'; expected START:LEN"),
+        ],
+    )
+    def test_bad_support_is_named(self, tmp_path, capsys, support, message):
+        out = tmp_path / "x.json"
+        assert run(["tree", "plr", "--d", "2", "--n", "16", "--support", support, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_computation_error_is_1(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         code = run(["tree", "plr", "--d", "2", "--n", "6", "--support", "0:1", "--out", str(out)])

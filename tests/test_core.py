@@ -65,6 +65,27 @@ class TestSupportMask:
         with pytest.raises(ValueError):
             SupportMask(4, frozenset({4}))
 
+    @given(st.integers(1, 64), st.integers(-200, 200), st.integers(0, 64))
+    @settings(max_examples=200, derandomize=True)
+    def test_interval_holds_its_cyclic_sites(self, n, start, length):
+        length = min(length, n)
+        assert SupportMask.interval(n, start, length).sites == {(start + i) % n for i in range(length)}
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: SupportMask(4, frozenset({4})), "site indices must lie in [0, 4)"),
+            (lambda: SupportMask(4, frozenset({-1, 2})), "site indices must lie in [0, 4)"),
+            (lambda: SupportMask.interval(0, 0, 0), "boundary size must be positive"),
+            (lambda: SupportMask.interval(5, 2, 6), "interval length must be in [0, 5], got 6"),
+            (lambda: SupportMask.interval(5, 1, -1), "interval length must be in [0, 5], got -1"),
+        ],
+    )
+    def test_error_messages(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
 
 class TestModelParams:
     @pytest.mark.parametrize("d", [2, 3, 5, 17])

@@ -1,6 +1,7 @@
 """Tree-circuit learning rates: recursion, series, fusion algebra, crossover."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import holoshadow as hs
+from conftest import ef_loop
 from holoshadow.core import SupportMask, WVector, plr_from_ef
 from holoshadow.tree import (
     TreeSpec,
@@ -183,6 +185,38 @@ class TestEntanglementFeatureOracle:
         for bits in range(16):
             m = SupportMask(4, frozenset(i for i in range(4) if bits >> i & 1))
             assert hs.plr_tree(m, spec, exact=True).w == plr_from_ef(m, table, d, exact=True)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_fold_matches_oracle_n16(self, d):
+        # depth 4: the fold equals the feature sum over every subset of 32
+        # fixed supports of 1 to 4 sites, contiguous and scattered
+        spec = TreeSpec(16, d)
+        rng = random.Random(16)
+        supports = [frozenset(rng.sample(range(16), k)) for k in (1, 2, 3, 4) for _ in range(7)]
+        supports += [frozenset(range(s, s + 4)) for s in (0, 5, 8, 12)]
+        for support in supports:
+            table = hs.ef_table(SupportMask(16, support), spec, exact=True)
+            for b in table:
+                m = SupportMask(16, b)
+                assert hs.plr_tree(m, spec, exact=True).w == plr_from_ef(m, table, d, exact=True)
+
+    @given(
+        st.sampled_from([2, 4, 8, 16]),
+        st.sampled_from([2, 3, 5, 10**6]),
+        st.integers(0, (1 << 16) - 1),
+    )
+    @example(16, 2, 0)
+    @example(16, 10**6, (1 << 16) - 1)
+    @example(4, 3, 0b1111)
+    @example(2, 5, 0)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_matches_assignment_loop(self, n, d, bits):
+        # the bit-parallel sum equals one loop iteration per assignment:
+        # exactly in rationals, to 1e-12 in floats
+        region = SupportMask(n, frozenset(i for i in range(n) if bits >> i & 1))
+        spec = TreeSpec(n, d)
+        assert hs.ef_bruteforce(region, spec, exact=True) == ef_loop(region, spec, exact=True)
+        assert hs.ef_bruteforce(region, spec) == pytest.approx(ef_loop(region, spec), rel=1e-12)
 
 
 class TestContiguousSeries:
