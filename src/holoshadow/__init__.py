@@ -14,7 +14,6 @@ from .lambertw import lambert_w
 from .tiling import DualGraph, TilingGraph, boundary_size, dual_graph, generate_tiling, two_tile_graph
 from .tree import (
     BetaResult,
-    FusionLabel,
     TreeSpec,
     beta,
     crossover_kstar,

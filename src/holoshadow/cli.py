@@ -41,11 +41,10 @@ def _parse_support(text: str, n: int) -> SupportMask:
     mask = SupportMask.empty(n)
     for part in text.split(","):
         try:
-            start_s, len_s = part.split(":")
-            start, length = int(start_s), int(len_s)
+            start, length = map(int, part.split(":"))
         except ValueError:
             raise ValueError(f"bad support syntax {part!r}; expected START:LEN")
-        mask = mask.union(SupportMask.interval(n, start % n, length))
+        mask = mask.union(SupportMask.interval(n, start, length))
     return mask
 
 
@@ -59,24 +58,25 @@ def _parse_d(text: str) -> int | None:
     """Bond dimension, or None for the large-d cut pathway (--d inf)."""
     if text.strip().lower() in ("inf", "infinity"):
         return None
-    d = int(text)
-    if d < 2:
-        raise ValueError(f"d must be >= 2 or 'inf', got {text}")
-    return d
+    with contextlib.suppress(ValueError):
+        if int(text) >= 2:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"d must be >= 2 or 'inf', got {text}")
 
 
 def _parse_digits(text: str) -> int:
-    digits = int(text)
-    if digits < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return digits
+    with contextlib.suppress(ValueError):
+        if int(text) >= 1:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
 
 
 def _parse_int_list(text: str) -> str:
     """A comma list of integers, kept as written so the config echoes it."""
-    for part in text.split(","):
-        int(part)
-    return text
+    with contextlib.suppress(ValueError):
+        list(map(int, text.split(",")))
+        return text
+    raise argparse.ArgumentTypeError(f"must be a comma list of integers, got {text}")
 
 
 def _config_dict(args: argparse.Namespace) -> dict:

@@ -16,9 +16,9 @@ All quantities here are pure functions of immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, starmap
 from typing import Iterable, Iterator, Mapping, Union
 
 Real = Union[int, float, Fraction]
@@ -70,24 +70,42 @@ class WVector:
         return self.w_id + self.w_swap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SupportMask:
-    """A subset of the N boundary sites (ring/line) supporting a Pauli."""
+    """A subset of the N boundary sites (ring/line) supporting a Pauli: its
+    runs, sorted, disjoint, non-touching (start, end) ranges of [0, N).  A
+    wrapped interval is two runs, so equal supports have equal runs."""
 
     n: int
-    sites: frozenset = field(default_factory=frozenset)
+    runs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, sites: Iterable[int] = ()) -> None:
+        self._normalise(n, ((site, site + 1) for site in sites))
+
+    def _normalise(self, n: int, ranges: Iterable[tuple[int, int]]) -> None:
+        """Every mask is made here: the nonempty ranges checked, sorted, merged."""
+        if n < 1:
             raise ValueError("boundary size must be positive")
-        sites = frozenset(self.sites)
-        object.__setattr__(self, "sites", sites)
-        if sites and (min(sites) < 0 or max(sites) >= self.n):
-            raise ValueError(f"site indices must lie in [0, {self.n})")
+        runs: list[tuple[int, int]] = []
+        for start, end in sorted(r for r in ranges if r[0] < r[1]):
+            if start < 0 or end > n:
+                raise ValueError(f"site indices must lie in [0, {n})")
+            if runs and start <= runs[-1][1]:
+                runs[-1] = (runs[-1][0], max(end, runs[-1][1]))
+            else:
+                runs.append((start, end))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "runs", tuple(runs))
+
+    @classmethod
+    def _of_ranges(cls, n: int, ranges: Iterable[tuple[int, int]]) -> "SupportMask":
+        mask = cls.__new__(cls)
+        mask._normalise(n, ranges)
+        return mask
 
     @classmethod
     def empty(cls, n: int) -> "SupportMask":
-        return cls(n, frozenset())
+        return cls(n)
 
     @classmethod
     def interval(cls, n: int, start: int, length: int) -> "SupportMask":
@@ -96,38 +114,34 @@ class SupportMask:
             raise ValueError(f"interval length must be in [0, {n}], got {length}")
         start %= max(n, 1)  # n < 1 is refused when the mask is built
         end = start + length
-        return cls(n, frozenset(range(start, end) if end <= n else chain(range(start, n), range(end - n))))
+        return cls._of_ranges(n, ((start, min(end, n)), (0, end - n)))
+
+    @property
+    def sites(self) -> frozenset:
+        """Every site of the support, for callers that need them one by one."""
+        return frozenset(chain.from_iterable(starmap(range, self.runs)))
 
     @property
     def k(self) -> int:
-        return len(self.sites)
+        return sum(end - start for start, end in self.runs)
 
     def __contains__(self, site: int) -> bool:
-        return site in self.sites
+        return any(start <= site < end for start, end in self.runs)
 
     def union(self, other: "SupportMask") -> "SupportMask":
         if other.n != self.n:
             raise ValueError("cannot union masks over different boundary sizes")
-        return SupportMask(self.n, self.sites | other.sites)
+        return self._of_ranges(self.n, self.runs + other.runs)
 
     def contiguous_bounds(self) -> tuple[int, int] | None:
-        """(start, length) if the mask is a cyclic interval, else None.
-
-        The empty mask reports (0, 0); the full mask (0, n).
-        """
-        if not self.sites:
-            return (0, 0)
-        if len(self.sites) == self.n:
-            return (0, self.n)
-        # a cyclic interval has exactly one "entry point": a site whose
-        # predecessor is outside the mask
-        starts = [s for s in self.sites if (s - 1) % self.n not in self.sites]
-        if len(starts) != 1:
-            return None
-        start = starts[0]
-        k = len(self.sites)
-        if all((start + i) % self.n in self.sites for i in range(k)):
-            return (start, k)
+        """(start, length) if the mask is a cyclic interval, else None; the
+        empty mask reports (0, 0), the full mask (0, n)."""
+        runs = self.runs
+        if len(runs) <= 1:
+            start, end = runs[0] if runs else (0, 0)
+            return (start, end - start)
+        if len(runs) == 2 and runs[0][0] == 0 and runs[1][1] == self.n:  # wraps round
+            return (runs[1][0], self.n - runs[1][0] + runs[0][1])
         return None
 
 

@@ -52,6 +52,7 @@ import math
 from array import array
 from collections import deque
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .core import CutResult, SupportMask
@@ -62,7 +63,7 @@ def pinned_for_interval(g: TilingGraph, interval: SupportMask) -> frozenset:
     """Tiles owning at least one leg of the interval."""
     if interval.n != g.n_legs:
         raise ValueError(f"interval over {interval.n} legs, graph has {g.n_legs}")
-    return frozenset(map(g.owners.__getitem__, interval.sites))
+    return frozenset(chain.from_iterable(g.owners[start:end] for start, end in interval.runs))
 
 
 def min_cut_exact(g: TilingGraph, pinned_vertices: Iterable[int], mode: str = "per-vertex") -> CutResult:
@@ -233,8 +234,9 @@ class _HullCuts:
         after = {owner[j - 1]: j for j in aligned}
         self.back = [(j - first[owner[j]]) % n for j in range(n)] if aligned else [n] * n
         self.ahead = [(after[owner[j - 1]] - j) % n for j in range(n)] if aligned else [n] * n
-        self.dual = dual_graph(g) if aligned else None
-        if not aligned:
+        # pricing no hull, as the max-flow sweep does, needs no embedding
+        self.dual = dual_graph(g) if aligned and starts else None
+        if self.dual is None:
             return
         # the ring: aligned positions in rim order by rank, the run of rank
         # i's tile reaching the gap of rank i + 1
@@ -400,9 +402,9 @@ def cut_sweep(
 
     Returns an iterator over rows ordered by (k, start), with a single zero
     row for k = 0; rows are computed as they are read, so a sweep holds no
-    list of them.  The hull data (dual graph, planarity check, every hull
-    start's search) and the oracle check come first, so a graph or argument
-    error raises here, not at the first row.
+    list of them.  The hull data (for "auto": dual graph, planarity check,
+    every hull start's search) and the oracle check come first, so a graph
+    or argument error raises here, not at the first row.
 
     oracle:
       * "auto"    -- the hull route.  Per-leg rows whose interval is itself
@@ -410,7 +412,8 @@ def cut_sweep(
                      the wall k + geodesic instead, which may exceed N (the
                      column the c_eff fits are defined over);
       * "maxflow" -- ``min_cut_exact`` on every row, one solve per distinct
-                     pinned set; every row is the minimum cut.
+                     pinned set; every row is the minimum cut.  It needs
+                     no embedding (rotation system).
     """
     if oracle not in ("auto", "maxflow"):
         raise ValueError(f"unknown oracle {oracle!r}")

@@ -33,9 +33,9 @@ The module also provides:
   support: ratio sequence g_t (g_0 = -1/d), the convergent series
   Q(d) = sum_i ln(1+2a g_i)/2^(i+1), and the resulting norm base
   beta = (d^2-1)/(d e^Q), which satisfies d < beta <= d + 1/d;
-* ``tree_large_d_cuts`` -- the d->infinity fusion algebra on
-  particle/hole/mixed labels, yielding the minimal-cut exponent
-  bdryC + bulkC;
+* ``tree_large_d_cuts`` -- the d->infinity fusion algebra on signed
+  labels (+1 particle, -1 hole, 0 mixed), yielding the minimal-cut
+  exponent bdryC + bulkC;
 * ``crossover_kstar``/``crossover_numeric`` -- where the tree's norm
   beta^k overtakes the optimal-depth shallow-circuit reference k d^k
   (Lambert-W closed form and exact numerical scan).
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, TypeVar
 
@@ -92,14 +91,6 @@ class BetaResult:
 
     q: float
     beta_norm: float
-
-
-class FusionLabel(Enum):
-    """Large-d classification of a subtree by its dominant replica weight."""
-
-    PARTICLE = "particle"
-    HOLE = "hole"
-    MIXED = "mixed"
 
 
 def leaf_vector(intersects_support: bool, d: int, exact: bool = False) -> WVector:
@@ -152,17 +143,18 @@ def _fold_runs(
 
 def _pair_runs(support: SupportMask) -> list[tuple[bool, int]]:
     """Runs (particle-like, count) of the N/2 coarse leaf pairs (2i, 2i+1);
-    a pair is particle-like when either of its qudits is in the support."""
+    a pair is particle-like when either of its qudits is in the support.
+    Site run [start, stop) covers pairs [start // 2, (stop + 1) // 2)."""
     runs: list[tuple[bool, int]] = []
     end = 0  # first pair not yet in a run
-    for pair in sorted({site // 2 for site in support.sites}):
-        if pair > end:
-            runs.append((False, pair - end))
-        if pair == end and runs and runs[-1][0]:
-            runs[-1] = (True, runs[-1][1] + 1)
-        else:
-            runs.append((True, 1))
-        end = pair + 1
+    for start, stop in support.runs:
+        first, last = start // 2, (stop + 1) // 2
+        if first > end:
+            runs.append((False, first - end))
+        elif runs:  # the previous particle run ends at pair `first`: extend it
+            first -= runs.pop()[1]
+        runs.append((True, last - first))
+        end = last
     if end < support.n // 2:
         runs.append((False, support.n // 2 - end))
     return runs
@@ -326,40 +318,25 @@ def beta(d: int) -> BetaResult:
 # large-d fusion algebra
 
 
-def fuse_labels(left: FusionLabel, right: FusionLabel) -> tuple[FusionLabel, int]:
-    """One fusion step on large-d labels; returns (label, bulk-cut increment).
-
-    particle+particle -> particle, hole+hole -> hole, mixed+mixed -> mixed,
-    particle+hole -> mixed (costing one bulk cut), and mixed is absorbed by
-    either pure label.
-    """
-    if left is right:
-        return left, 0
-    if FusionLabel.MIXED in (left, right):
-        other = right if left is FusionLabel.MIXED else left
-        return other, 0
-    return FusionLabel.MIXED, 1
-
-
 def tree_large_d_cuts(support: SupportMask) -> CutResult:
     """Minimal-cut exponent of the tree in the d->infinity limit.
 
     The tree has one leaf per site of the support, so N = support.n, which
     must be a power of two.
-    Coarse-grains leaf pairs to particle/hole labels and folds the fusion
-    algebra; bdryC is twice the number of particle leaves, bulkC the number
-    of particle+hole fusions, and w ~ d^-(bdryC+bulkC).
+    Coarse-grains leaf pairs to signed labels, +1 particle, -1 hole, and
+    folds the fusion algebra: equal labels keep their sign, a mixed subtree
+    (0) takes its sibling's, and particle+hole fuses to mixed at the cost
+    of one bulk cut.  bdryC is twice the number of particle leaves, bulkC
+    the number of particle+hole fusions, and w ~ d^-(bdryC+bulkC).
     """
     check_leaf_count(support.n)
     runs = _pair_runs(support)
 
-    def fuse_counted(
-        left: tuple[FusionLabel, int], right: tuple[FusionLabel, int]
-    ) -> tuple[FusionLabel, int]:
-        label, inc = fuse_labels(left[0], right[0])
-        return label, left[1] + right[1] + inc
+    def fuse_counted(left: tuple[int, int], right: tuple[int, int]) -> tuple[int, int]:
+        (l, l_cuts), (r, r_cuts) = left, right
+        return (l or r) if l * r >= 0 else 0, l_cuts + r_cuts + (l * r < 0)
 
-    _, bulk = _fold_runs(runs, (FusionLabel.HOLE, 0), (FusionLabel.PARTICLE, 0), fuse_counted)
+    _, bulk = _fold_runs(runs, (-1, 0), (1, 0), fuse_counted)
     bdry = 2 * sum(count for flag, count in runs if flag)
     return CutResult(bdry_cost=bdry, bulk_cost=bulk, min_cost=bdry + bulk)
 
@@ -393,11 +370,15 @@ def crossover_kstar(d: int) -> tuple[float, float]:
     return lambert_w(x, 0) / x, lambert_w(x, -1) / x
 
 
+def _check_k_max(k_max: int) -> None:
+    if k_max < 2 or k_max & (k_max - 1):
+        raise ValueError(f"k_max must be a power of two >= 2, got {k_max}")
+
+
 def crossover_numeric(d: int, k_max: int) -> int | None:
     """Smallest k = 2^m <= k_max where the exact contiguous tree norm
     exceeds the shallow reference k d^k; None if the tree stays better."""
-    if k_max < 2 or k_max & (k_max - 1):
-        raise ValueError(f"k_max must be a power of two >= 2, got {k_max}")
+    _check_k_max(k_max)
     for m in range(1, k_max.bit_length()):
         k = 1 << m
         if -_log_w([(True, k // 2)], d) > log_shallow_reference(k, d):
@@ -410,7 +391,9 @@ def crossover_table(d: int, k_max: int) -> list[dict]:
 
     Exact tree values exist only at k = 2^m; intermediate k are filled by
     exponential (log-linear) interpolation and flagged interpolated = 1.
+    k_max must be a power of two >= 2, as for ``crossover_numeric``.
     """
+    _check_k_max(k_max)
     exact = {1 << m: -_log_w([(True, 1 << (m - 1))], d) for m in range(1, k_max.bit_length())}
     rows = []
     for k in range(2, k_max + 1):

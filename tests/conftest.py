@@ -11,7 +11,10 @@ other than tilings come from straight-line drawings (``drawn_graph``,
 every spin state with numpy, the oracle for the package's variable
 elimination.  ``ef_loop`` is the tree's entanglement-feature sum as one
 Python iteration per gate assignment, the reference for the package's
-bit-parallel ``ef_bruteforce``.
+bit-parallel ``ef_bruteforce``.  ``contiguous_bounds_scan`` and
+``pair_runs_of_sites`` read a support's interval and the tree's leaf-pair
+runs off its set of sites, the references for ``SupportMask`` and
+``holoshadow.tree._pair_runs``, which read them off its runs.
 """
 
 from __future__ import annotations
@@ -140,6 +143,42 @@ def ef_loop(region, spec, exact=False):
         if weight is not None:
             total += weight
     return total
+
+
+def contiguous_bounds_scan(mask):
+    """(start, length) if the mask's sites form one cyclic interval, else
+    None; (0, 0) when empty, (0, n) when full.  A cyclic interval has
+    exactly one entry point: a site whose predecessor is outside."""
+    sites, n = mask.sites, mask.n
+    if not sites:
+        return (0, 0)
+    if len(sites) == n:
+        return (0, n)
+    starts = [s for s in sites if (s - 1) % n not in sites]
+    if len(starts) != 1:
+        return None
+    start = starts[0]
+    if all((start + i) % n in sites for i in range(len(sites))):
+        return (start, len(sites))
+    return None
+
+
+def pair_runs_of_sites(support):
+    """Runs (particle-like, count) of the N/2 leaf pairs (2i, 2i+1), from the
+    sorted set of pairs that hold a site of the support."""
+    runs = []
+    end = 0  # first pair not yet in a run
+    for pair in sorted({site // 2 for site in support.sites}):
+        if pair > end:
+            runs.append((False, pair - end))
+        if pair == end and runs and runs[-1][0]:
+            runs[-1] = (True, runs[-1][1] + 1)
+        else:
+            runs.append((True, 1))
+        end = pair + 1
+    if end < support.n // 2:
+        runs.append((False, support.n // 2 - end))
+    return runs
 
 
 def oracle_sweep(g, mode, intervals):

@@ -426,6 +426,25 @@ class TestErrors:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["tree", "plr", "--d", "1", "--n", "8", "--support", "0:3"], "argument --d: d must be >= 2 or 'inf', got 1"),
+            (["tree", "plr", "--d", "x", "--n", "8", "--support", "0:3"], "argument --d: d must be >= 2 or 'inf', got x"),
+            (["tree", "table", "--d", "2,x"], "argument --d: must be a comma list of integers, got 2,x"),
+            (["geom", "ceff", "--rho", "0.9", "--phi", "pi", "--digits", "x"], "argument --digits: must be a positive integer, got x"),
+        ],
+        ids=["tree-plr-d1", "tree-plr-dx", "tree-table", "digits"],
+    )
+    def test_bad_flag_values_are_explained(self, capsys, args, message):
+        # argparse's usage line, then the parser's own message, never a private function's name
+        assert run(args) == 2
+        out, err = capsys.readouterr()
+        prog = "holoshadow " + " ".join(args[:2])
+        assert out == ""
+        assert err.startswith(f"usage: {prog} [-h]")
+        assert err.endswith(f"\n{prog}: error: {message}\n")
+
     def test_computation_error_is_1(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         code = run(["tree", "plr", "--d", "2", "--n", "6", "--support", "0:1", "--out", str(out)])
@@ -513,6 +532,13 @@ class TestErrors:
         assert run(["cut", "sweep", "--graph", str(gpath), "--out", str(spath)]) == 0
         assert run(["fit", "ceff", "--csv", str(spath), "--N", "20"]) == 1
         assert capsys.readouterr().err == "error: point with k = 21 lies outside 0..N = 0..20\n"
+
+    def test_fit_needs_a_k_min_c_header(self, tmp_path, capsys):
+        path = tmp_path / "headless.csv"
+        path.write_text("# config: {}\nstart,k,bdryC\n0,1,2\n")
+        assert run(["fit", "ceff", "--csv", str(path), "--N", "10", "--out", str(tmp_path / "fit.json")]) == 1
+        assert capsys.readouterr() == ("", f"error: {path} has no k,minC header row\n")
+        assert not (tmp_path / "fit.json").exists()
 
     @pytest.mark.parametrize("row,fields", [("5", 1), ("5,2,9", 3)])
     def test_fit_rejects_ragged_rows(self, tmp_path, capsys, row, fields):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import contiguous_bounds_scan, pair_runs_of_sites
 from holoshadow.core import (
     ModelParams,
     PlrResult,
@@ -15,7 +16,7 @@ from holoshadow.core import (
     plr_from_ef,
     subsets_of,
 )
-from holoshadow.tree import TreeSpec, ef_table
+from holoshadow.tree import TreeSpec, _pair_runs, ef_table
 
 
 def shadow_norm(w):
@@ -85,6 +86,92 @@ class TestSupportMask:
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == message
+
+
+def cyclic_sites(n, start, length):
+    return {(start + i) % n for i in range(length)}
+
+
+def runs_of(sites):
+    """Maximal runs [start, end) of consecutive integers in a set."""
+    runs = []
+    for site in sorted(sites):
+        if runs and runs[-1][1] == site:
+            runs[-1][1] += 1
+        else:
+            runs.append([site, site + 1])
+    return tuple(map(tuple, runs))
+
+
+@st.composite
+def interval_unions(draw):
+    """(n, intervals A, intervals B): two random unions of cyclic intervals
+    over the same n in 1..64, each a list of (start, length)."""
+    n = draw(st.integers(1, 64))
+    part = st.tuples(st.integers(-2 * n, 2 * n), st.integers(0, n))
+    return n, draw(st.lists(part, max_size=4)), draw(st.lists(part, max_size=4))
+
+
+class TestSupportRuns:
+    """A mask holds its runs; everything else is read off them and must
+    match what the set of sites gives."""
+
+    @staticmethod
+    def build(n, parts):
+        mask, sites = SupportMask.empty(n), set()
+        for start, length in parts:
+            mask = mask.union(SupportMask.interval(n, start, length))
+            sites |= cyclic_sites(n, start, length)
+        return mask, sites
+
+    @given(interval_unions())
+    @settings(max_examples=400, derandomize=True)
+    def test_runs_match_the_sites(self, case):
+        n, parts_a, parts_b = case
+        a, sites_a = self.build(n, parts_a)
+        b, sites_b = self.build(n, parts_b)
+        for mask, sites in ((a, sites_a), (b, sites_b)):
+            # 1. the derived sites, the size and membership
+            assert mask.sites == sites and mask.k == len(sites)
+            assert [site in mask for site in range(-1, n + 1)] == [site in sites for site in range(-1, n + 1)]
+            # 2. canonical runs: the one form, however the mask was built
+            assert mask.runs == runs_of(sites)
+            assert mask == SupportMask(n, sites) and hash(mask) == hash(SupportMask(n, sites))
+            # 3. the interval is the one the set scan finds
+            assert mask.contiguous_bounds() == contiguous_bounds_scan(mask)
+            # 4. the tree's leaf-pair runs
+            assert _pair_runs(mask) == pair_runs_of_sites(mask)
+        # 5. union is set union
+        union = a.union(b)
+        assert union.sites == sites_a | sites_b
+        assert union == b.union(a) == SupportMask(n, sites_a | sites_b)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_every_site_set_of_small_n(self, n):
+        for bits in range(1 << n):
+            sites = {i for i in range(n) if bits >> i & 1}
+            mask = SupportMask(n, sites)
+            assert mask.runs == runs_of(sites) and mask.sites == sites
+            assert mask.contiguous_bounds() == contiguous_bounds_scan(mask)
+            assert _pair_runs(mask) == pair_runs_of_sites(mask)
+
+    def test_wrapped_interval_is_two_runs(self):
+        m = SupportMask.interval(8, 6, 4)
+        assert m.runs == ((0, 2), (6, 8))
+        assert m == SupportMask(8, {0, 1, 6, 7}) == SupportMask.interval(8, 0, 2).union(SupportMask.interval(8, 6, 2))
+
+    def test_huge_boundary_costs_nothing_per_site(self):
+        n = 1 << 60
+        m = SupportMask.interval(n, n - 5, n // 2).union(SupportMask.interval(n, 3, 7))
+        assert m.runs == ((0, n // 2 - 5), (n - 5, n))
+        assert m.k == n // 2 and m.contiguous_bounds() == (n - 5, n // 2)
+        assert (n - 1) in m and (n // 2) not in m
+        assert _pair_runs(m) == [(True, n // 4 - 2), (False, n // 4 - 1), (True, 3)]
+
+    def test_union_over_different_sizes_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            SupportMask.interval(4, 0, 1).union(SupportMask.interval(8, 0, 1))
+        assert str(err.value) == "cannot union masks over different boundary sizes"
 
 
 class TestModelParams:

@@ -261,6 +261,25 @@ class TestCutSweep:
         with pytest.raises(ValueError, match="no rotation system"):
             cut_sweep(dataclasses.replace(two_tile, rotation=None))
 
+    @pytest.mark.parametrize("mode", ["per-leg", "per-vertex"])
+    def test_maxflow_sweep_needs_no_embedding(self, graphs37, mode):
+        # the max-flow oracle prices every row from the tiles and edges
+        # alone, so a graph without a rotation system sweeps the same
+        g = graphs37[2]
+        bare = dataclasses.replace(g, rotation=None)
+        rows = list(cut_sweep(bare, mode, oracle="maxflow"))
+        assert rows == list(cut_sweep(g, mode, oracle="maxflow"))
+        for row in rows[1:]:
+            pinned = pinned_for_interval(bare, SupportMask.interval(g.n_legs, row["start"], row["k"]))
+            assert (row["bdryC"], row["bulkC"], row["minC"]) == triple(min_cut_exact(bare, pinned, mode))
+        with pytest.raises(ValueError, match="mode must be one of"):
+            cut_sweep(bare, "per-tile", oracle="maxflow")
+
+    def test_pinned_tiles_need_the_graph_s_leg_count(self, two_tile):
+        with pytest.raises(ValueError) as err:
+            pinned_for_interval(two_tile, SupportMask.interval(two_tile.n_legs + 1, 0, 2))
+        assert str(err.value) == f"interval over {two_tile.n_legs + 1} legs, graph has {two_tile.n_legs}"
+
     def test_zero_row_and_ordering(self, two_tile):
         rows = list(cut_sweep(two_tile, "per-vertex"))
         assert rows[0] == {"start": 0, "k": 0, "bdryC": 0, "bulkC": 0, "minC": 0}

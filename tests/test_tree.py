@@ -301,6 +301,34 @@ class TestLargeDFusion:
         cut = hs.tree_large_d_cuts(SupportMask.interval(n, 0, k))
         assert (cut.bdry_cost, cut.bulk_cost) == (k, 1)
 
+    # the particle/hole/mixed fusion table: (left, right) -> (label, bulk cuts)
+    OLD_TABLE = {
+        ("particle", "particle"): ("particle", 0),
+        ("hole", "hole"): ("hole", 0),
+        ("mixed", "mixed"): ("mixed", 0),
+        ("particle", "hole"): ("mixed", 1),
+        ("hole", "particle"): ("mixed", 1),
+        ("particle", "mixed"): ("particle", 0),
+        ("mixed", "particle"): ("particle", 0),
+        ("hole", "mixed"): ("hole", 0),
+        ("mixed", "hole"): ("hole", 0),
+    }
+    # a four-leaf subtree's sites (offsets) for each label, and the bulk cuts inside it
+    QUARTER = {"particle": ((0, 2), 0), "hole": ((), 0), "mixed": ((0,), 1)}
+
+    @pytest.mark.parametrize("left,right", sorted(OLD_TABLE))
+    def test_fusion_table(self, left, right):
+        # the N = 8 root fuses two four-leaf subtrees with these labels; its
+        # own label shows as the cut it costs against a hole or a particle
+        # eight-leaf sibling in an N = 16 tree
+        label, cuts = self.OLD_TABLE[left, right]
+        (left_sites, left_cuts), (right_sites, right_cuts) = self.QUARTER[left], self.QUARTER[right]
+        sites = set(left_sites) | {4 + s for s in right_sites}
+        bulk = left_cuts + right_cuts + cuts
+        assert hs.tree_large_d_cuts(mask(8, *sites)).bulk_cost == bulk
+        assert hs.tree_large_d_cuts(mask(16, *sites)).bulk_cost == bulk + (label == "particle")
+        assert hs.tree_large_d_cuts(mask(16, *sites, *range(8, 16))).bulk_cost == bulk + (label == "hole")
+
     def test_exponent_consistency_all_supports(self):
         # large-d exponent from the fusion algebra vs the exact fold at d=64
         spec = TreeSpec(8, 64)
@@ -363,6 +391,14 @@ class TestCrossover:
         b = hs.beta(2)
         slope = (-contiguous_log_plr(2, 8) + contiguous_log_plr(2, 7)) / 128
         assert slope == pytest.approx(math.log(b.beta_norm), rel=1e-3)
+
+    @pytest.mark.parametrize("k_max", [100, 63, 3, 1, 0, -8])
+    def test_k_max_must_be_a_power_of_two(self, k_max):
+        # the table used to stop silently below the last power of two
+        for compute in (hs.crossover_numeric, crossover_table):
+            with pytest.raises(ValueError) as err:
+                compute(2, k_max)
+            assert str(err.value) == f"k_max must be a power of two >= 2, got {k_max}"
 
     def test_crossover_table_flags_interpolation(self):
         rows = crossover_table(2, 8)
