@@ -43,27 +43,27 @@ def fit_ceff(points: Iterable[tuple[float, float]], n_boundary: int) -> FitResul
     A point outside 0 <= k <= N raises ValueError: N is smaller than the
     swept graph's leg count.
     """
-    entries: dict[tuple[float, float], list] = {}  # point -> [x, y, multiplicity]
+    entries: dict[tuple[float, float], list] = {}  # point -> [x*x, x*y, multiplicity, x, y]
+    get = entries.get
     sxx = sxy = 0.0
     for point in points:
-        entry = entries.get(point)
+        entry = get(point)
         if entry is None:
             entry = entries[point] = _regressors(point, n_boundary)
         if entry:
-            x, y, _ = entry
-            sxx += x * x
-            sxy += x * y
+            sxx += entry[0]
+            sxy += entry[1]
             entry[2] += 1
-    usable = [entry for entry in entries.values() if entry]
-    n = sum(count for _, _, count in usable)
+    usable = [entry[2:] for entry in entries.values() if entry]
+    n = sum(count for count, _, _ in usable)
     if n < 2:
         raise ValueError("need at least two usable points to fit")
-    if len({x for x, _, _ in usable}) < 2:
+    if len({x for _, x, _ in usable}) < 2:
         raise ValueError("degenerate design: all min(k, N-k) values are equal")
 
     slope = _finite("slope", _finite("sum of x*y", sxy) / sxx)
     try:
-        ss = sum(count * (y - slope * x) ** 2 for x, y, count in usable)
+        ss = sum(count * (y - slope * x) ** 2 for count, x, y in usable)
     except OverflowError:  # a float ** raises where * would give inf
         ss = math.inf
     ss = _finite("residual sum", ss)
@@ -72,14 +72,16 @@ def fit_ceff(points: Iterable[tuple[float, float]], n_boundary: int) -> FitResul
 
 
 def _regressors(point: tuple[float, float], n_boundary: int) -> list:
-    """[ln min(k, N-k), log_d_norm - k, 0] for a point, the 0 a multiplicity
-    to count into; [] at k = 0 and k = N, where the regressor is undefined."""
+    """[x*x, x*y, 0, x, y] for a point, with x = ln min(k, N-k) and
+    y = log_d_norm - k, the 0 a multiplicity to count into; [] at k = 0 and
+    k = N, where the regressor is undefined."""
     k, log_d_norm = point
     if k < 0 or k > n_boundary:
         raise ValueError(f"point with k = {k} lies outside 0..N = 0..{n_boundary}")
     if k == 0 or k == n_boundary:
         return []
-    return [math.log(min(k, n_boundary - k)), log_d_norm - k, 0]
+    x, y = math.log(min(k, n_boundary - k)), log_d_norm - k
+    return [x * x, x * y, 0, x, y]
 
 
 def ceff_approx(l: int, p: int, q: int, n_boundary: int) -> float:

@@ -58,9 +58,8 @@ def _parse_d(text: str) -> int | None:
     """Bond dimension, or None for the large-d cut pathway (--d inf)."""
     if text.strip().lower() in ("inf", "infinity"):
         return None
-    with contextlib.suppress(ValueError):
-        if int(text) >= 2:
-            return int(text)
+    with contextlib.suppress(argparse.ArgumentTypeError):
+        return _parse_finite_d(text)
     raise argparse.ArgumentTypeError(f"d must be >= 2 or 'inf', got {text}")
 
 
@@ -71,17 +70,31 @@ def _parse_digits(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
 
 
-def _parse_int_list(text: str) -> str:
-    """A comma list of integers, kept as written so the config echoes it."""
+def _parse_finite_d(text: str) -> int:
     with contextlib.suppress(ValueError):
-        list(map(int, text.split(",")))
-        return text
-    raise argparse.ArgumentTypeError(f"must be a comma list of integers, got {text}")
+        if int(text) >= 2:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"d must be >= 2, got {text}")
+
+
+def _parse_d_list(text: str) -> str:
+    """A comma list of bond dimensions, kept as written so the config echoes it."""
+    try:
+        low = min(map(int, text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a comma list of integers, got {text}") from None
+    if low < 2:
+        raise argparse.ArgumentTypeError(f"d must be >= 2, got {low}")
+    return text
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
+    """The resolved flags, unset ones left out; --d inf is echoed as "inf"."""
     skip = {"func", "out", "no_timestamp"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
+    config = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
+    if getattr(args, "d", 0) is None:
+        config["d"] = "inf"
+    return config
 
 
 def _round_floats(value, digits: int | None):
@@ -223,14 +236,16 @@ def _cmd_ising_ef(args: argparse.Namespace) -> dict:
 
 def _sweep_points(path: str):
     """(k, minC) of each data row of a sweep CSV, in row order, read one line
-    at a time; each distinct text pair is converted to numbers, and checked
-    to be an int and a finite float, once (int and float take the line's
-    trailing newline as they find it)."""
-    numbers: dict[tuple[str, str], tuple[int, float]] = {}
+    at a time.  A row is keyed by its text from the first of the k and minC
+    columns on, so each distinct key is split, checked and converted once:
+    to an int k and a finite float minC (int and float take a last field's
+    newline as they find it).  A key fixes its row's field count, since a
+    row too short to reach that column leaves a key without a comma, which
+    no checked key is.  A bad row's line number is counted only once the
+    row is found."""
     with open(path, encoding="utf-8") as handle:
-        lines = enumerate(handle, 1)
-        for _, line in lines:
-            if line != "\n" and not line.startswith("#"):
+        for line in handle:
+            if line[0] not in "#\n":
                 break
         else:
             return
@@ -238,23 +253,40 @@ def _sweep_points(path: str):
         if "k" not in header or "minC" not in header:
             raise ValueError(f"{path} has no k,minC header row")
         k_col, min_col, width = header.index("k"), header.index("minC"), len(header)
-        for number, line in lines:
-            if line == "\n" or line.startswith("#"):
+        skip = min(k_col, min_col)
+        pick = operator.itemgetter(k_col - skip, min_col - skip)
+        points: dict[str, tuple[int, float]] = {}
+        get = points.get
+        for line in handle:
+            if line[0] in "#\n":
                 continue
-            parts = line.split(",")
-            if len(parts) != width:
-                raise ValueError(f"{path} line {number}: {len(parts)} fields, header has {width}")
-            key = parts[k_col], parts[min_col]
-            point = numbers.get(key)
+            key = line.split(",", skip)[-1]
+            point = get(key)
             if point is None:
+                fields = key.split(",")
+                if len(fields) != width - skip:
+                    raise ValueError(
+                        f"{path} line {_line_number(path, line)}: {line.count(',') + 1} fields, header has {width}"
+                    )
+                k, min_c = pick(fields)
                 with contextlib.suppress(ValueError):
-                    point = int(key[0]), float(key[1])
+                    point = int(k), float(min_c)
                 if point is None or not math.isfinite(point[1]):
                     raise ValueError(
-                        f"{path} line {number}: k must be an integer and minC a finite number, got {line.strip()!r}"
+                        f"{path} line {_line_number(path, line)}: k must be an integer and minC a finite "
+                        f"number, got {line.strip()!r}"
                     )
-                numbers[key] = point
+                points[key] = point
             yield point
+
+
+def _line_number(path: str, bad: str) -> int:
+    """The number of the first data line of a sweep CSV that reads bad: the
+    line the reader failed on, since it checks every line in order."""
+    with open(path, encoding="utf-8") as handle:
+        rows = ((number, line) for number, line in enumerate(handle, 1) if line[0] not in "#\n")
+        next(rows)  # the header
+        return next(number for number, line in rows if line == bad)
 
 
 def _cmd_fit_ceff(args: argparse.Namespace) -> dict:
@@ -314,12 +346,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tree_plr)
 
     p = tree_sub.add_parser("table", help="Q(d) and beta(d) table")
-    p.add_argument("--d", type=_parse_int_list, default="2,3,4,5,10,20", help="comma list of d values")
+    p.add_argument("--d", type=_parse_d_list, default="2,3,4,5,10,20", help="comma list of d values")
     common(p)
     p.set_defaults(func=_cmd_tree_table)
 
     p = tree_sub.add_parser("crossover", help="tree vs shallow-circuit crossover")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_parse_finite_d, required=True)
     p.add_argument("--k-max", type=int, default=256, dest="k_max")
     p.add_argument("--csv", help="also write the per-k comparison table here")
     common(p)

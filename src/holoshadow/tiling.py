@@ -114,13 +114,17 @@ class TilingGraph:
                 "whose boundary_legs hold it"
             )
         if self.rotation is not None:
-            # the expected darts are distinct, so equal sets of equal size
-            # mean each is listed exactly once
-            listed = [(kind, v, ref) for v, rot in enumerate(self.rotation) for kind, ref in rot]
-            darts = {("edge", u, v) for u, v in self.edges} | {("edge", v, u) for u, v in self.edges}
-            darts.update(("leg", v, leg) for leg, v in self.boundary_order)
-            if len(listed) != len(darts) or set(listed) != darts:
-                raise ValueError("rotation must list each edge once at each end and each leg at its tile")
+            # a tile's expected entries are distinct, so equal sets of equal
+            # size mean each is listed exactly once
+            ends: list[set[tuple[str, int]]] = [set() for _ in range(n)]
+            for u, v in self.edges:
+                ends[u].add(("edge", v))
+                ends[v].add(("edge", u))
+            for leg, v in self.boundary_order:
+                ends[v].add(("leg", leg))
+            for rot, expected in zip(self.rotation, ends):
+                if len(rot) != len(expected) or set(rot) != expected:
+                    raise ValueError("rotation must list each edge once at each end and each leg at its tile")
         owners = tuple(v for _, v in self.boundary_order)
         aligned = frozenset(j for j in range(len(owners)) if owners[j - 1] != owners[j])
         run_starts = [owners[j] for j in sorted(aligned)]
@@ -364,18 +368,12 @@ class _Patch:
         # the layer's fresh vertices, made counterclockwise along its outer rim
         self.boundary = list(range(placeholder + 1, self._next))
 
-    def edge_faces(self) -> dict[tuple[int, int], list[int]]:
-        """The tiles on each tile side, ascending, keyed by its ``_sides`` pair."""
-        emap: dict[tuple[int, int], list[int]] = {}
-        for f, verts in enumerate(self.face_verts):
-            for key in _sides(verts):
-                emap.setdefault(key, []).append(f)
-        return emap
 
-
-def _sides(cycle: Sequence[int]) -> list[tuple[int, int]]:
-    """Each side of a vertex cycle in order, as its (lower, higher) vertex pair."""
-    return [(a, b) if a < b else (b, a) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+def _sides(cycle: Sequence[int], n: int) -> list[int]:
+    """Each side of a cycle of vertex ids below n in order, keyed as
+    lower * n + higher: ints hash and sort faster than the vertex pairs,
+    and in the pairs' order."""
+    return [a * n + b if a < b else b * n + a for a, b in zip(cycle, cycle[1:] + cycle[:1])]
 
 
 def generate_tiling(p: int, q: int, layers: int) -> TilingGraph:
@@ -412,13 +410,20 @@ def two_tile_graph(p: int = 3, q: int = 7) -> TilingGraph:
 
 
 def _compile(patch: _Patch, p: int, q: int, layers: int) -> TilingGraph:
-    emap = patch.edge_faces()
+    # each tile's sides are traced once, for the edge map and the rotation
+    n = patch._next
+    face_sides = [_sides(verts, n) for verts in patch.face_verts]
+    # the tiles on each side, ascending
+    emap: dict[int, list[int]] = {}
+    for f, sides in enumerate(face_sides):
+        for key in sides:
+            emap.setdefault(key, []).append(f)
     for key, faces in emap.items():
         if len(faces) > 2:
-            raise RuntimeError(f"tiling edge {list(key)} shared by {len(faces)} tiles")
+            raise RuntimeError(f"tiling edge {list(divmod(key, n))} shared by {len(faces)} tiles")
 
     # legs numbered along the rim cycle
-    leg_of_edge = {key: j for j, key in enumerate(_sides(patch.boundary))}
+    leg_of_edge = {key: j for j, key in enumerate(_sides(patch.boundary, n))}
     boundary_order = [(j, emap[key][0]) for key, j in leg_of_edge.items()]
 
     # faces are listed in ascending order; TilingGraph refuses a repeated pair
@@ -426,9 +431,9 @@ def _compile(patch: _Patch, p: int, q: int, layers: int) -> TilingGraph:
 
     rotation: list[list[tuple[str, int]]] = []
     boundary_legs: list[list[int]] = [[] for _ in patch.face_verts]
-    for f, verts in enumerate(patch.face_verts):
+    for f, sides in enumerate(face_sides):
         rot: list[tuple[str, int]] = []
-        for key in _sides(verts):
+        for key in sides:
             faces = emap[key]
             if len(faces) == 2:
                 rot.append(("edge", faces[0] if faces[1] == f else faces[1]))

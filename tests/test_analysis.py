@@ -27,12 +27,19 @@ def two_list_fit(points, n_boundary):
         if 0 < k < n_boundary:
             xs.append(math.log(min(k, n_boundary - k)))
             ys.append(log_d_norm - k)
+    # plain loops, not sum(): from Python 3.12 on, sum() of floats is
+    # compensated, which is not row-order addition
     n = len(xs)
-    sxx = sum(x * x for x in xs)
-    slope = sum(x * y for x, y in zip(xs, ys)) / sxx
-    resid = [y - slope * x for x, y in zip(xs, ys)]
-    var = sum(r * r for r in resid) / (n - 1) / sxx
-    return slope, math.sqrt(var), math.sqrt(sum(r * r for r in resid) / n), n
+    sxx = sxy = 0.0
+    for x, y in zip(xs, ys):
+        sxx += x * x
+        sxy += x * y
+    slope = sxy / sxx
+    ss = 0.0
+    for x, y in zip(xs, ys):
+        r = y - slope * x
+        ss += r * r
+    return slope, math.sqrt(ss / (n - 1) / sxx), math.sqrt(ss / n), n
 
 
 @st.composite

@@ -113,6 +113,16 @@ class TestTreeCommands:
         assert doc["w"] is None
         assert doc["log_d_norm"] == 5  # k + one bulk cut
 
+    def test_d_inf_result_names_its_d(self, tmp_path):
+        # --d inf is echoed as "inf"; a finite d stays an integer
+        doc = run_json(["tree", "plr", "--d", "inf", "--n", "8", "--support", "0:3"], tmp_path)
+        assert doc["config"]["d"] == "inf"
+        gpath = tmp_path / "g.json"
+        hs.generate_tiling(3, 7, 2).save(gpath)
+        args = ["ising", "plr", "--graph", str(gpath), "--support", "0:3", "--d"]
+        assert run_json(args + ["inf"], tmp_path, "inf.json")["config"]["d"] == "inf"
+        assert run_json(args + ["3"], tmp_path, "three.json")["config"]["d"] == 3
+
     def test_table(self, tmp_path):
         out = tmp_path / "table.csv"
         assert run(["tree", "table", "--d", "2,5", "--out", str(out), "--no-timestamp"]) == 0
@@ -433,8 +443,10 @@ class TestErrors:
             (["tree", "plr", "--d", "x", "--n", "8", "--support", "0:3"], "argument --d: d must be >= 2 or 'inf', got x"),
             (["tree", "table", "--d", "2,x"], "argument --d: must be a comma list of integers, got 2,x"),
             (["geom", "ceff", "--rho", "0.9", "--phi", "pi", "--digits", "x"], "argument --digits: must be a positive integer, got x"),
+            (["tree", "table", "--d", "1,2"], "argument --d: d must be >= 2, got 1"),
+            (["tree", "crossover", "--d", "1"], "argument --d: d must be >= 2, got 1"),
         ],
-        ids=["tree-plr-d1", "tree-plr-dx", "tree-table", "digits"],
+        ids=["tree-plr-d1", "tree-plr-dx", "tree-table", "digits", "tree-table-d1", "tree-crossover-d1"],
     )
     def test_bad_flag_values_are_explained(self, capsys, args, message):
         # argparse's usage line, then the parser's own message, never a private function's name
@@ -557,6 +569,41 @@ class TestErrors:
         assert err == (
             f"error: {path} line 5: k must be an integer and minC a finite number, got {row!r}\n"
         )
+
+    def test_fit_skips_comments_and_blanks_between_rows(self, tmp_path):
+        # comment and blank lines anywhere, and a last row without a
+        # newline, leave the fit as the plain rows give it
+        rows = ["1,2", "2,4", "3,5", "2,4", "4,5"]
+        plain, mixed = tmp_path / "plain.csv", tmp_path / "mixed.csv"
+        plain.write_text("k,minC\n" + "".join(f"{row}\n" for row in rows))
+        mixed.write_text(
+            "\n# config: {}\n\nk,minC\n1,2\n# note\n2,4\n\n\n3,5\n#\n2,4\n# last\n" + rows[-1]
+        )
+        docs = [run_json(["fit", "ceff", "--csv", str(path), "--N", "10"], tmp_path, f"{path.stem}.json")
+                for path in (plain, mixed)]
+        assert docs[0]["n_points"] == docs[1]["n_points"] == 5
+        assert {**docs[0], "config": None} == {**docs[1], "config": None}
+
+    def test_fit_names_the_line_of_a_repeated_header(self, tmp_path, capsys):
+        # the header's text reappears at line 6; its own line is named, not line 2
+        path = tmp_path / "twice.csv"
+        path.write_text("# config: {}\nk,minC\n1,2\n# more\n\nk,minC\n3,4\n")
+        assert run(["fit", "ceff", "--csv", str(path), "--N", "10"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path} line 6: k must be an integer and minC a finite number, got 'k,minC'\n"
+        )
+
+    @pytest.mark.parametrize("row,message", [
+        ("5,2,9", "3 fields, header has 2"),
+        ("5,x", "k must be an integer and minC a finite number, got '5,x'"),
+    ])
+    @pytest.mark.parametrize("tail", ["\n1,2\n", ""], ids=["mid-file", "last-without-newline"])
+    def test_fit_counts_comment_lines_in_a_bad_line_s_number(self, tmp_path, capsys, row, message, tail):
+        # comment and blank lines before the bad row count towards its number
+        path = tmp_path / "late.csv"
+        path.write_text(f"# config: {{}}\n\nk,minC\n1,2\n# a\n\n# b\n2,3\n{row}{tail}")
+        assert run(["fit", "ceff", "--csv", str(path), "--N", "10"]) == 1
+        assert capsys.readouterr().err == f"error: {path} line 9: {message}\n"
 
 
 @pytest.mark.parametrize(

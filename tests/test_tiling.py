@@ -376,6 +376,27 @@ class TestDualGraph:
         with pytest.raises(ValueError, match="each leg at its tile"):
             TilingGraph.from_json_dict(data)
 
+    @pytest.mark.parametrize("fault", ["missing", "duplicated", "extra", "other-tile-s-edge"])
+    def test_rejects_a_tile_s_bad_rotation_entry(self, fault):
+        # one tile's list is off by one entry; every other tile's is right
+        g = hs.generate_tiling(5, 4, 3)
+        data = g.to_json_dict()
+        u, v = g.edges[-1]
+        rot = data["rotation"][u]
+        i = rot.index(["edge", v])
+        if fault == "missing":
+            del rot[i]
+        elif fault == "duplicated":
+            rot[i] = rot[i - 1]
+        elif fault == "extra":
+            rot.append(["edge", v])
+        else:
+            # an edge of tile v, not of tile u
+            w = next(b if a == v else a for a, b in g.edges if v in (a, b) and u not in (a, b))
+            rot[i] = ["edge", w]
+        with pytest.raises(ValueError, match="^rotation must list each edge once at each end and each leg at its tile$"):
+            TilingGraph.from_json_dict(data)
+
 
 def _bfs_duals():
     """Duals the lane BFS is checked on: {3,7}x2-4, {5,4}x2-3 (whose gaps
